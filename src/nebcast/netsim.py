@@ -17,11 +17,12 @@ route around dead entries. Disturbances re-roll every node's status
 at once; survivors keep their tables, casualties lose theirs together
 with every queued packet whose transmission had not started yet, and
 returning nodes rebuild from scratch the same way the initial
-bootstrap did, blind to who is online.
+bootstrap did (``fill_table``), blind to who is online.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from heapq import heappop, heappush
 from random import Random
 from typing import Sequence
@@ -163,57 +164,62 @@ def transmission_schedule(
     return start + tx + delay_us[profile.region][receiver_region]
 
 
-def liveness_maintenance(node: NodeState, peer: int, delivery_failed: bool, now: int = 0) -> bool:
-    """Table upkeep around one send or receipt.
-
-    A failed send means the peer was offline, so it is dropped, score
-    and all. A successful receipt from an unknown peer is a chance to
-    adopt it, which silently fails when the bucket is full. The engine
-    never reports a failed send, since senders cannot see liveness.
-    """
-    if delivery_failed:
-        return node.table.remove_peer(peer)
-    if peer in node.table:
-        return False
-    return node.table.insert_peer(peer, now)
-
-
 def bootstrap_topology(
     config: NetworkConfig,
     rng: Random,
     require_full_reach: bool = False,
-    max_attempts: int = 5,
 ) -> tuple[list[NodeState], list[NodeNetProfile]]:
     """Build nodes, assign net profiles, and fill routing tables.
 
-    Every node is offered every other node's id in seeded random order
-    and keeps what its buckets accept. The overlay this produces is not
-    symmetric, but a bucket only ends up empty when no id in its range
-    exists at all, which is what ``require_full_reach`` re-checks
-    before runs that depend on full delivery.
+    Every node's table is filled by ``fill_table`` in node order. The
+    overlay this produces is not symmetric, but a bucket only ends up
+    empty when no id in its range exists at all; ``require_full_reach``
+    re-checks that before runs that depend on full delivery.
     """
-    for attempt in range(max_attempts):
-        ids = sample_ids(config.n_nodes, config.address_bits, rng)
-        profiles = []
-        for _ in range(config.n_nodes):
-            region = _weighted_index(config.region_proportions, rng.random())
-            bw = BANDWIDTH_CLASSES[_weighted_index(config.bandwidth_proportions, rng.random())]
-            profiles.append(NodeNetProfile(region, bw))
-        nodes = []
-        for node_id in ids:
-            table = RoutingTable(node_id, config.address_bits, config.bucket_capacity)
-            nodes.append(NodeState(node_id, table))
-        for i, node in enumerate(nodes):
-            candidates = [other for j, other in enumerate(ids) if j != i]
-            rng.shuffle(candidates)
-            table = node.table
-            for peer in candidates:
-                table.insert_peer(peer, 0)
-        if not require_full_reach or fully_reachable(nodes, config.address_bits):
-            return nodes, profiles
-    raise ConfigurationError(
-        f"no fully reachable overlay found in {max_attempts} attempts; widen the id space"
-    )
+    ids = sample_ids(config.n_nodes, config.address_bits, rng)
+    profiles = []
+    for _ in range(config.n_nodes):
+        region = _weighted_index(config.region_proportions, rng.random())
+        bw = BANDWIDTH_CLASSES[_weighted_index(config.bandwidth_proportions, rng.random())]
+        profiles.append(NodeNetProfile(region, bw))
+    sorted_ids = sorted(ids)
+    nodes = []
+    for node_id in ids:
+        table = RoutingTable(node_id, config.address_bits, config.bucket_capacity)
+        fill_table(table, sorted_ids, rng, 0)
+        nodes.append(NodeState(node_id, table))
+    if require_full_reach and not fully_reachable(nodes, config.address_bits):
+        raise ConfigurationError("bootstrap left a bucket empty although its id range is populated")
+    return nodes, profiles
+
+
+def _bucket_slice(sorted_ids: list[int], owner: int, index: int, width: int) -> tuple[int, int]:
+    """Positions [a, b) in ``sorted_ids`` of the ids bucket ``index`` of ``owner`` covers.
+
+    Those ids share the owner's first ``index`` bits, differ on the
+    next one, and are free below it: one contiguous id range.
+    """
+    span = width - index - 1
+    lo = (owner ^ (1 << span)) >> span << span
+    return bisect_left(sorted_ids, lo), bisect_left(sorted_ids, lo + (1 << span))
+
+
+def fill_table(table: RoutingTable, sorted_ids: list[int], rng: Random, now: int) -> None:
+    """File into each bucket a uniform ordered sample of its id range.
+
+    Bucket i draws min(capacity, ids in its range) positions with one
+    ``rng.sample`` and files them in draw order, stamped ``now``, at
+    O(width * (log N + capacity)) per table. Offering every other id in
+    a uniform shuffle and keeping what fits has the same law: a bucket
+    keeps the first ids of its range in shuffle order, a uniform
+    ordered subset of that range.
+    """
+    owner = table.owner
+    width = table.width
+    for i, bucket in enumerate(table.buckets):
+        a, b = _bucket_slice(sorted_ids, owner, i, width)
+        for j in rng.sample(range(a, b), min(bucket.capacity, b - a)):
+            table.insert_peer(sorted_ids[j], now)
 
 
 def fully_reachable(nodes: list[NodeState], width: int) -> bool:
@@ -221,23 +227,17 @@ def fully_reachable(nodes: list[NodeState], width: int) -> bool:
 
     For each node and bucket index i, the ids whose shared prefix with
     the node is exactly i form a contiguous range; an empty bucket is
-    only acceptable when that whole range is unpopulated. Under the
-    offer-everyone bootstrap this is equivalent to subtree broadcasts
-    reaching every node.
+    only acceptable when that whole range is unpopulated. On an overlay
+    filled by ``fill_table`` this always holds, and it is what lets
+    subtree broadcasts reach every node.
     """
     sorted_ids = sorted(node.id for node in nodes)
-    from bisect import bisect_left
-
     for node in nodes:
-        nid = node.id
         for i, bucket in enumerate(node.table.buckets):
             if bucket.entries:
                 continue
-            span = width - i - 1
-            prefix = (nid >> (span + 1) << 1) | (1 - ((nid >> span) & 1))
-            lo = prefix << span
-            hi = lo + (1 << span)
-            if bisect_left(sorted_ids, hi) - bisect_left(sorted_ids, lo) > 0:
+            a, b = _bucket_slice(sorted_ids, node.id, i, width)
+            if b > a:
                 return False
     return True
 
@@ -264,8 +264,9 @@ def apply_disturbance(
     so roughly half the network drops each time and high serials almost
     always do. Fresh casualties lose their routing table, tickets, and
     outgoing queue (the engine discards the queued packets themselves);
-    nodes coming back restart with a full re-bootstrap against every
-    other id. Survivors are untouched.
+    nodes coming back refill their empty table with ``fill_table`` over
+    every id, online or not, drawing from ``rng``. Survivors are
+    untouched.
     """
     if mode == "refuse_half":
         assign_refusers(nodes, rng)
@@ -273,7 +274,7 @@ def apply_disturbance(
     if mode != "churn":
         raise ConfigurationError(f"unknown disturbance mode {mode!r}")
     n = len(nodes)
-    all_ids = [node.id for node in nodes]
+    sorted_ids = sorted(node.id for node in nodes)
     for i, node in enumerate(nodes):
         fails = rng.random() < (i + 1) / n
         if fails:
@@ -287,11 +288,7 @@ def apply_disturbance(
                     log.append(("node_offline", now, node.id))
         elif not node.online:
             node.online = True
-            candidates = [other for other in all_ids if other != node.id]
-            rng.shuffle(candidates)
-            table = node.table
-            for peer in candidates:
-                table.insert_peer(peer, now)
+            fill_table(node.table, sorted_ids, rng, now)
             if log is not None:
                 log.append(("node_online", now, node.id))
 

@@ -1,0 +1,68 @@
+"""Golden pin: SHA-256 digests of the emitted files for fixed small configs.
+
+Every case runs at N=64 with one round per node and seed 1, and its
+``summary.json`` and ``broadcasts.csv`` must hash to the digests in
+``tests/golden/digests.json``. A change that alters how random numbers
+are consumed changes these digests on purpose and re-pins them in the
+same change, saying why; any other digest change is a bug.
+
+To print the digests of the current code as JSON (to re-pin after a
+deliberate change of the draws):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from nebcast.experiments.config import build_config
+from nebcast.experiments.scenarios import emit_results, run_scenario
+
+DIGESTS = Path(__file__).parent / "golden" / "digests.json"
+
+BASE = {"n_nodes": "64", "rounds_per_node": "1", "seed": "1"}
+
+CASES = {
+    "latency": ("latency", {}),
+    "coverage_offline": ("coverage_offline", {}),
+    "coverage_refuse": ("coverage_refuse", {}),
+    "gossip_sweep": ("gossip_sweep", {}),
+    "faultfree_audit": ("faultfree_audit", {}),
+    # at the 60 s default period a 64-broadcast run ends before a second
+    # disturbance, which would make this case a copy of churn_once
+    "coverage_offline_periodic": (
+        "coverage_offline",
+        {"disturbance": "churn_periodic", "disturbance_period_s": "1"},
+    ),
+}
+
+
+def case_digests(name: str, out_dir: Path) -> dict[str, str]:
+    scenario, overrides = CASES[name]
+    cfg = build_config(scenario=scenario, overrides={**BASE, **overrides})
+    paths = emit_results(run_scenario(cfg), out_dir)
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_match_golden_digests(name, tmp_path):
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert case_digests(name, tmp_path) == pinned[name]
+
+
+def test_golden_cases_are_all_pinned():
+    assert sorted(json.loads(DIGESTS.read_text(encoding="utf-8"))) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {name: case_digests(name, Path(tmp) / name) for name in sorted(CASES)}
+    json.dump(digests, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")

@@ -8,6 +8,7 @@ in the loop is verified against the documented link model.
 
 from __future__ import annotations
 
+from collections import Counter
 from heapq import heappush
 from random import Random
 
@@ -26,10 +27,11 @@ from nebcast.netsim import (
     apply_disturbance,
     assign_refusers,
     bootstrap_topology,
+    fill_table,
     fully_reachable,
-    liveness_maintenance,
     transmission_schedule,
 )
+from nebcast.identity import sample_ids
 from nebcast.protocol import DATA_BYTES, Message, NodeState
 from nebcast.routing import RoutingTable
 from nebcast.seeding import stream
@@ -103,6 +105,92 @@ def test_network_config_validation():
     bad_delay = tuple(tuple(row) for row in DELAY_US[:3]) + ((1, 2, 3, 4),)
     with pytest.raises(ConfigurationError):
         NetworkConfig(10, delay_us=bad_delay)
+
+
+def _assert_filled(table: RoutingTable, all_ids: list[int], capacity: int) -> None:
+    """Each bucket holds min(capacity, ids in its range) distinct network ids of that range."""
+    width = table.width
+    population = Counter(
+        width - (table.owner ^ other).bit_length() for other in all_ids if other != table.owner
+    )
+    members = set(all_ids)
+    for i, bucket in enumerate(table.buckets):
+        peers = [entry.peer for entry in bucket.entries]
+        assert len(peers) == min(capacity, population[i])
+        assert len(set(peers)) == len(peers)
+        assert table.owner not in peers
+        for peer in peers:
+            assert peer in members
+            assert width - (table.owner ^ peer).bit_length() == i
+
+
+FILL_CASES = [(2, 16, 15), (64, 16, 15), (1000, 16, 15), (16, 4, 3)]
+
+
+@pytest.mark.parametrize("n,bits,capacity", FILL_CASES)
+def test_bootstrap_fills_every_bucket_to_its_range(n, bits, capacity):
+    nodes, _, _ = _network(n, seed=3, bits=bits, capacity=capacity)
+    ids = [node.id for node in nodes]
+    for node in nodes:
+        _assert_filled(node.table, ids, capacity)
+
+
+@pytest.mark.parametrize("n,bits,capacity", FILL_CASES)
+def test_churn_returners_fill_every_bucket_to_its_range(n, bits, capacity):
+    nodes, profiles, _ = _network(n, seed=3, bits=bits, capacity=capacity)
+    ids = [node.id for node in nodes]
+    rng = Random(5)
+    returners = 0
+    for step in range(1, 9):
+        was_online = [node.online for node in nodes]
+        apply_disturbance(nodes, rng, "churn", profiles, now=step)
+        for before, node in zip(was_online, nodes):
+            if node.online and not before:
+                returners += 1
+                _assert_filled(node.table, ids, capacity)
+    assert returners > 0
+
+
+def _offer_everyone(table: RoutingTable, ids: list[int], rng: Random) -> None:
+    """The earlier fill rule, kept as the reference law: offer every other
+    id in a uniform shuffle and keep what the buckets accept."""
+    candidates = [other for other in ids if other != table.owner]
+    rng.shuffle(candidates)
+    for peer in candidates:
+        table.insert_peer(peer, 0)
+
+
+def test_fill_has_the_law_of_offering_everyone():
+    # an id whose bucket range holds p ids is kept with probability
+    # min(capacity, p) / p and ranked first with probability 1 / p under
+    # both rules; 8000 trials put one standard deviation at most 0.0056,
+    # so 0.025 is about 4.5 of them
+    width, capacity, trials, tolerance = 5, 3, 8000, 0.025
+    ids = sample_ids(20, width, Random(0))
+    owner = ids[0]
+    sorted_ids = sorted(ids)
+    population = Counter(width - (owner ^ other).bit_length() for other in ids[1:])
+    assert max(population.values()) > capacity >= min(population.values())
+
+    def frequencies(fill) -> tuple[Counter, Counter]:
+        kept: Counter = Counter()
+        first: Counter = Counter()
+        for seed in range(trials):
+            table = RoutingTable(owner, width, capacity)
+            fill(table, Random(seed))
+            for bucket in table.buckets:
+                kept.update(entry.peer for entry in bucket.entries)
+                if bucket.entries:
+                    first[bucket.entries[0].peer] += 1
+        return kept, first
+
+    sampled = frequencies(lambda table, rng: fill_table(table, sorted_ids, rng, 0))
+    offered = frequencies(lambda table, rng: _offer_everyone(table, ids, rng))
+    for peer in ids[1:]:
+        p = population[width - (owner ^ peer).bit_length()]
+        for kept, first in (sampled, offered):
+            assert abs(kept[peer] / trials - min(capacity, p) / p) < tolerance
+            assert abs(first[peer] / trials - 1 / p) < tolerance
 
 
 def test_bootstrap_two_nodes_know_each_other():
@@ -201,8 +289,13 @@ def test_churn_offline_fraction_near_half():
     assert abs(fraction - (n + 1) / (2 * n)) < 0.05
 
 
+def _bucket_peers(node: NodeState) -> list[list[int]]:
+    return [[entry.peer for entry in bucket.entries] for bucket in node.table.buckets]
+
+
 def test_churn_clears_casualties_and_rebootstraps_returners():
     nodes, profiles, _ = _network(30, seed=8)
+    ids = [node.id for node in nodes]
     nodes[10].tickets.add((1, 2))
     profiles[-1].busy_until = 99_999
     rng = Random(3)
@@ -213,12 +306,24 @@ def test_churn_clears_casualties_and_rebootstraps_returners():
             assert not node.tickets
             assert profiles[i].busy_until == 0
         else:
-            assert len(node.table) > 0
-    # bring survivors' serials back around: returning nodes rebuild full tables
+            _assert_filled(node.table, ids, 15)
+    survivors = {i: _bucket_peers(node) for i, node in enumerate(nodes) if node.online}
+    was_online = [node.online for node in nodes]
+    # returning nodes rebuild full tables at the disturbance time, blind
+    # to who is online; survivors keep theirs entry for entry
     apply_disturbance(nodes, rng, "churn", profiles, now=120)
-    for node in nodes:
-        if node.online:
-            assert len(node.table) > 0
+    returners = 0
+    for i, node in enumerate(nodes):
+        if not node.online:
+            assert len(node.table) == 0
+        elif was_online[i]:
+            assert _bucket_peers(node) == survivors[i]
+        else:
+            returners += 1
+            _assert_filled(node.table, ids, 15)
+            for bucket in node.table.buckets:
+                assert all(e.score == 0 and e.inserted_at == 120 for e in bucket.entries)
+    assert returners > 0
 
 
 def test_churn_survivors_keep_their_tables():
@@ -239,21 +344,6 @@ def test_apply_disturbance_rejects_unknown_mode():
     nodes, profiles, _ = _network(4, seed=1)
     with pytest.raises(ConfigurationError):
         apply_disturbance(nodes, Random(1), "meteor", profiles)
-
-
-def test_liveness_maintenance_rules():
-    table = RoutingTable(0, 4, 1)
-    node = NodeState(0, table)
-    table.insert_peer(8)
-    table.add_score(8, 3)
-    assert liveness_maintenance(node, 8, delivery_failed=True)
-    assert 8 not in table
-    assert liveness_maintenance(node, 4, delivery_failed=False)
-    assert table.entry_for(4).score == 0
-    assert not liveness_maintenance(node, 4, delivery_failed=False)
-    # bucket 0 is full (capacity 1), a second candidate is turned away
-    table.insert_peer(8)
-    assert not liveness_maintenance(node, 9, delivery_failed=False)
 
 
 def _run_engine(

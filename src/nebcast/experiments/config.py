@@ -16,6 +16,8 @@ from pathlib import Path
 import yaml
 
 from ..errors import ConfigurationError
+from ..identity import check_width
+from ..routing import check_capacity
 
 SCENARIOS = ("latency", "coverage_offline", "coverage_refuse", "gossip_sweep", "faultfree_audit")
 
@@ -50,16 +52,12 @@ class ScenarioConfig:
             raise ConfigurationError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.n_nodes < 2:
             raise ConfigurationError(f"n_nodes must be at least 2, got {self.n_nodes}")
-        if not 1 <= self.address_bits <= 160:
-            raise ConfigurationError(f"address_bits must be in [1, 160], got {self.address_bits}")
+        check_width(self.address_bits, "address_bits")
         if self.n_nodes > (1 << self.address_bits):
             raise ConfigurationError(
                 f"n_nodes={self.n_nodes} cannot fit address_bits={self.address_bits}"
             )
-        if self.bucket_capacity < 1 or self.bucket_capacity & (self.bucket_capacity + 1):
-            raise ConfigurationError(
-                f"bucket_capacity must be 2**n - 1, got {self.bucket_capacity}"
-            )
+        check_capacity(self.bucket_capacity, "bucket_capacity")
         for name in ("data_msg_bytes", "confirm_msg_bytes"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be nonnegative")
@@ -166,6 +164,17 @@ _INT_FIELDS = {
 _BOOL_FIELDS = {"refuse_withholds_confirmations"}
 
 
+def _int(name: str, value, what: str = "an integer") -> int:
+    """``int()`` for a config key that rejects booleans and fractions instead of truncating them."""
+    fractional = isinstance(value, float) and not value.is_integer()
+    if not isinstance(value, bool) and not fractional:
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+
+
 def _coerce(name: str, value) -> object:
     """Bring a raw YAML or --set value into the field's shape."""
     if name in _LIST_FIELDS:
@@ -175,10 +184,7 @@ def _coerce(name: str, value) -> object:
             raise ConfigurationError(f"{name} must be a list, got {value!r}")
         if name == "variants":
             return tuple(str(v) for v in value)
-        try:
-            return tuple(int(v) for v in value)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"{name} must hold integers, got {value!r}") from None
+        return tuple(_int(name, v, "a list of integers") for v in value)
     if name in _BOOL_FIELDS:
         if isinstance(value, bool):
             return value
@@ -188,15 +194,9 @@ def _coerce(name: str, value) -> object:
     if name == "horizon_s":
         if value is None or (isinstance(value, str) and value.lower() in ("null", "none", "")):
             return None
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"horizon_s must be an integer or null, got {value!r}") from None
+        return _int(name, value, "an integer or null")
     if name in _INT_FIELDS:
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+        return _int(name, value)
     return str(value)
 
 

@@ -81,7 +81,6 @@ def execute_run(spec: RunSpec) -> RunResult:
         bucket_capacity=spec.bucket_capacity,
         data_msg_bytes=spec.data_msg_bytes,
         confirm_msg_bytes=spec.confirm_msg_bytes,
-        seed=spec.seed,
     )
     topo_rng = stream(spec.seed, "topology", spec.repeat)
     nodes, profiles = bootstrap_topology(net, topo_rng, require_full_reach=spec.require_full_reach)

@@ -4,7 +4,8 @@ An id is a plain unsigned integer read as a bit string of ``width``
 bits, most significant bit first. Peers are filed into buckets by the
 length of the id prefix they share with the local node: bucket ``i``
 holds peers agreeing on exactly the first ``i`` bits and differing on
-bit ``i``. All functions validate their arguments against the declared
+bit ``i``, which is bucket ``width - (a ^ b).bit_length()`` for ids
+``a`` and ``b``. A routing table checks its owner against the declared
 width so that a mis-sized id fails loudly instead of landing in the
 wrong bucket.
 """
@@ -15,50 +16,17 @@ from random import Random
 
 from .errors import ConfigurationError
 
-DEFAULT_ADDRESS_BITS = 16
 MAX_ADDRESS_BITS = 160
 
 
-def check_width(width: int) -> None:
+def check_width(width: int, name: str = "address width") -> None:
     if not isinstance(width, int) or not 1 <= width <= MAX_ADDRESS_BITS:
-        raise ConfigurationError(
-            f"address width must be an int in [1, {MAX_ADDRESS_BITS}], got {width!r}"
-        )
+        raise ConfigurationError(f"{name} must be an int in [1, {MAX_ADDRESS_BITS}], got {width!r}")
 
 
 def check_id(value: int, width: int) -> None:
     if not isinstance(value, int) or not 0 <= value < (1 << width):
         raise ConfigurationError(f"id {value!r} does not fit an address width of {width} bits")
-
-
-def xor_distance(a: int, b: int, width: int = DEFAULT_ADDRESS_BITS) -> int:
-    """XOR metric between two ids; zero iff they are equal."""
-    check_width(width)
-    check_id(a, width)
-    check_id(b, width)
-    return a ^ b
-
-
-def shared_prefix_len(a: int, b: int, width: int = DEFAULT_ADDRESS_BITS) -> int:
-    """Number of leading bits ``a`` and ``b`` agree on (``width`` iff equal)."""
-    check_width(width)
-    check_id(a, width)
-    check_id(b, width)
-    diff = a ^ b
-    if diff == 0:
-        return width
-    return width - diff.bit_length()
-
-
-def bucket_index_of(self_id: int, peer_id: int, width: int = DEFAULT_ADDRESS_BITS) -> int:
-    """Index of the routing bucket where ``self_id`` files ``peer_id``.
-
-    Equal ids have no defined bucket; a node never stores itself.
-    """
-    index = shared_prefix_len(self_id, peer_id, width)
-    if index == width:
-        raise ConfigurationError(f"id {self_id:#x} has no bucket for itself")
-    return index
 
 
 def sample_ids(count: int, width: int, rng: Random) -> list[int]:

@@ -66,29 +66,6 @@ class MessageRec:
         )
 
 
-def record(rec: MessageRec, event: tuple) -> MessageRec:
-    """Fold one event into a record.
-
-    ``("initiate", t)`` stamps the start time; ``("receive", t)`` counts
-    one node's first receipt and, when the count reaches the full
-    population, freezes the completion time. The caller guarantees each
-    node contributes at most one receive per hash; a count past the
-    population is therefore a harness bug and raises.
-    """
-    kind, t = event
-    if kind == "initiate":
-        rec.start_us = t
-    elif kind == "receive":
-        if rec.received_count >= rec.full_count:
-            raise AssertionError(f"broadcast {rec.seq} double-counted beyond {rec.full_count}")
-        rec.received_count += 1
-        if rec.received_count == rec.full_count:
-            rec.last_receive_us = t
-    else:
-        raise ConfigurationError(f"unknown record event kind {kind!r}")
-    return rec
-
-
 def latency(rec: MessageRec) -> int | None:
     """Start-to-last-receipt span in μs, or None while incomplete."""
     if rec.last_receive_us is None or rec.start_us is None:
@@ -124,22 +101,31 @@ class BroadcastTracker:
         honest: bool = True,
         online: int | None = None,
     ) -> None:
-        rec = MessageRec(len(self.recs), initiator, self.n_nodes, online)
-        self.recs.append(rec)
-        self._by_hash[msg_hash] = rec
-        record(rec, ("initiate", t))
+        self._open(msg_hash, initiator, t, online)
         self.receive(msg_hash, t, honest, initiator)
 
     def initiate_skipped(self, msg_hash: int, initiator: int, t: int) -> None:
-        rec = MessageRec(len(self.recs), initiator, self.n_nodes, 0)
+        self._open(msg_hash, initiator, t, 0)
+
+    def _open(self, msg_hash: int, initiator: int, t: int, online: int | None) -> None:
+        rec = MessageRec(len(self.recs), initiator, self.n_nodes, online)
+        rec.start_us = t
         self.recs.append(rec)
         self._by_hash[msg_hash] = rec
-        record(rec, ("initiate", t))
 
     def receive(self, msg_hash: int, t: int, honest: bool, node: int) -> None:
-        """Count the first receipt of a broadcast by node index ``node``."""
+        """Count the first receipt of a broadcast by node index ``node``.
+
+        Reaching the full population freezes the completion time. The
+        engine feeds each node's first receipt of a hash at most once,
+        so a count past the population is a harness bug and raises.
+        """
         rec = self._by_hash[msg_hash]
-        record(rec, ("receive", t))
+        if rec.received_count >= rec.full_count:
+            raise AssertionError(f"broadcast {rec.seq} double-counted beyond {rec.full_count}")
+        rec.received_count += 1
+        if rec.received_count == rec.full_count:
+            rec.last_receive_us = t
         if honest:
             rec.honest_received += 1
         if rec.online_at_start >> node & 1:

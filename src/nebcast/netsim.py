@@ -23,6 +23,7 @@ bootstrap did (``fill_table``), blind to who is online.
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from random import Random
 from typing import Sequence
@@ -35,15 +36,12 @@ from .protocol import (
     DATA_BYTES,
     Message,
     NodeState,
-    accept_all_stamps,
     gossip_handle,
     gossip_initiate,
     handle_message,
     initiate_broadcast,
 )
 from .routing import RoutingTable
-
-REGIONS = ("a", "b", "c", "d")
 
 # share of nodes per region, percent
 REGION_PROPORTIONS = (30, 10, 40, 20)
@@ -82,54 +80,27 @@ class NodeNetProfile:
         self.busy_until = 0
 
 
+@dataclass(frozen=True)
 class NetworkConfig:
-    """Static description of one simulated network."""
+    """Static description of one simulated network.
 
-    __slots__ = (
-        "n_nodes",
-        "address_bits",
-        "bucket_capacity",
-        "data_msg_bytes",
-        "confirm_msg_bytes",
-        "region_proportions",
-        "bandwidth_proportions",
-        "delay_us",
-        "seed",
-    )
+    Regions, bandwidth classes and delays are the module constants
+    above; a run only sets the sizes.
+    """
 
-    def __init__(
-        self,
-        n_nodes: int,
-        address_bits: int = 16,
-        bucket_capacity: int = DEFAULT_BUCKET_CAPACITY,
-        data_msg_bytes: int = DATA_BYTES,
-        confirm_msg_bytes: int = CONFIRM_BYTES,
-        region_proportions: tuple = REGION_PROPORTIONS,
-        bandwidth_proportions: tuple = BANDWIDTH_PROPORTIONS,
-        delay_us: tuple = DELAY_US,
-        seed: int = 0,
-    ):
-        if n_nodes < 1:
-            raise ConfigurationError(f"need at least one node, got {n_nodes}")
-        if n_nodes > (1 << address_bits):
+    n_nodes: int
+    address_bits: int = 16
+    bucket_capacity: int = DEFAULT_BUCKET_CAPACITY
+    data_msg_bytes: int = DATA_BYTES
+    confirm_msg_bytes: int = CONFIRM_BYTES
+
+    def __post_init__(self):
+        if self.n_nodes < 1:
+            raise ConfigurationError(f"need at least one node, got {self.n_nodes}")
+        if self.n_nodes > (1 << self.address_bits):
             raise ConfigurationError(
-                f"{n_nodes} nodes cannot get distinct {address_bits}-bit ids"
+                f"{self.n_nodes} nodes cannot get distinct {self.address_bits}-bit ids"
             )
-        if sum(region_proportions) != 100 or sum(bandwidth_proportions) != 100:
-            raise ConfigurationError("region and bandwidth proportions must each sum to 100")
-        for i in range(len(delay_us)):
-            for j in range(len(delay_us)):
-                if delay_us[i][j] != delay_us[j][i]:
-                    raise ConfigurationError("delay matrix must be symmetric")
-        self.n_nodes = n_nodes
-        self.address_bits = address_bits
-        self.bucket_capacity = bucket_capacity
-        self.data_msg_bytes = data_msg_bytes
-        self.confirm_msg_bytes = confirm_msg_bytes
-        self.region_proportions = tuple(region_proportions)
-        self.bandwidth_proportions = tuple(bandwidth_proportions)
-        self.delay_us = tuple(tuple(row) for row in delay_us)
-        self.seed = seed
 
 
 def _weighted_index(proportions: Sequence[int], draw: float) -> int:
@@ -141,27 +112,6 @@ def _weighted_index(proportions: Sequence[int], draw: float) -> int:
         if scaled < acc:
             return i
     return len(proportions) - 1
-
-
-def transmission_schedule(
-    profile: NodeNetProfile,
-    size_bytes: int,
-    now: int,
-    receiver_region: int,
-    delay_us: tuple = DELAY_US,
-) -> int:
-    """Queue one transmission on a sender and return its arrival time.
-
-    The packet starts when the sender's queue frees up, occupies the
-    upstream for ceil(bits / bps) μs, and lands after the propagation
-    delay between the two regions. Mutates ``profile.busy_until``.
-    """
-    start = profile.busy_until
-    if start < now:
-        start = now
-    tx = (size_bytes * 8_000_000 + profile.upstream_bps - 1) // profile.upstream_bps
-    profile.busy_until = start + tx
-    return start + tx + delay_us[profile.region][receiver_region]
 
 
 def bootstrap_topology(
@@ -179,8 +129,8 @@ def bootstrap_topology(
     ids = sample_ids(config.n_nodes, config.address_bits, rng)
     profiles = []
     for _ in range(config.n_nodes):
-        region = _weighted_index(config.region_proportions, rng.random())
-        bw = BANDWIDTH_CLASSES[_weighted_index(config.bandwidth_proportions, rng.random())]
+        region = _weighted_index(REGION_PROPORTIONS, rng.random())
+        bw = BANDWIDTH_CLASSES[_weighted_index(BANDWIDTH_PROPORTIONS, rng.random())]
         profiles.append(NodeNetProfile(region, bw))
     sorted_ids = sorted(ids)
     nodes = []
@@ -433,7 +383,6 @@ class Engine:
         nodes = self.nodes
         profiles = self.profiles
         idx_of = self.idx_of
-        delay = self.config.delay_us
         rng = self.rng
         tracker = self.tracker
         log = self.log
@@ -483,7 +432,7 @@ class Engine:
                             node.table.insert_peer(sender, t)
                     sends = handle_message(
                         node, m, beta, ne, rng, t,
-                        confirm_size, withholds, accept_all_stamps, log,
+                        confirm_size, withholds, log,
                     )
                 if was_new and h in node.known:
                     self.accepted += 1
@@ -539,12 +488,15 @@ class Engine:
 
             if not sends:
                 continue
+            # the link model: each send starts when the sender's upstream
+            # frees, holds it for ceil(bits / bps) μs, and lands after the
+            # delay between the two regions
             prof = profiles[di]
             bps = prof.upstream_bps
             busy = prof.busy_until
             if busy < t:
                 busy = t
-            srow = delay[prof.region]
+            srow = DELAY_US[prof.region]
             for dest_id, sm in sends:
                 ti = idx_of[dest_id]
                 start = busy

@@ -25,7 +25,7 @@ bandwidth, or liveness.
 from __future__ import annotations
 
 from random import Random
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import ConfigurationError
 from .routing import RoutingTable, probe_set, select_relays, select_uniform
@@ -44,13 +44,13 @@ class Message:
 
     ``hash`` is an opaque token standing in for a content digest; the
     simulator only needs it to be unique per (source, payload, round).
-    ``relay`` is stamped by the source for each first-hop branch and is
+    ``relay`` is set by the source for each first-hop branch and is
     never rewritten downstream. ``sender`` is the immediate sender and
-    changes at every hop. ``stamp`` is the validity mark checked on
-    reception; payload content is abstracted to its byte length.
+    changes at every hop. Payload content is abstracted to its byte
+    length.
     """
 
-    __slots__ = ("hash", "size", "source", "relay", "sender", "stamp", "is_confirmation")
+    __slots__ = ("hash", "size", "source", "relay", "sender", "is_confirmation")
 
     def __init__(
         self,
@@ -59,7 +59,7 @@ class Message:
         source: int,
         relay: int,
         sender: int,
-        stamp: bool = True,
+        *,
         is_confirmation: bool = False,
     ):
         self.hash = hash
@@ -67,7 +67,6 @@ class Message:
         self.source = source
         self.relay = relay
         self.sender = sender
-        self.stamp = stamp
         self.is_confirmation = is_confirmation
 
     def __repr__(self) -> str:
@@ -99,11 +98,6 @@ class NodeState:
         self.online = True
         # static adjacency, only used by the gossip baseline
         self.neighbors: list[int] = []
-
-
-def accept_all_stamps(m: Message) -> bool:
-    """Default validity check: trust the stamp bit on the message."""
-    return bool(m.stamp)
 
 
 _NO_SENDS: tuple = ()
@@ -156,16 +150,14 @@ def handle_message(
     now: int,
     confirm_size: int = CONFIRM_BYTES,
     refuse_withholds_confirms: bool = False,
-    check_stamp: Callable[[Message], bool] = accept_all_stamps,
     events: list | None = None,
 ):
     """Process one delivered message and return the send intents it causes.
 
-    The steps run in a fixed order: stamp check, vote settlement when
-    the receiver is the message's source, duplicate drop, scoring of
-    the sender, confirmation toward the source, refusal cut-off, and
-    finally subtree relaying into buckets deeper than the one shared
-    with the sender.
+    The steps run in a fixed order: vote settlement when the receiver
+    is the message's source, duplicate drop, scoring of the sender,
+    confirmation toward the source, refusal cut-off, and finally subtree
+    relaying into buckets deeper than the one shared with the sender.
 
     Score events and consumed tickets are appended to ``events`` when a
     list is supplied; the hot path skips that bookkeeping entirely. A
@@ -176,8 +168,6 @@ def handle_message(
     h = m.hash
     known = node.known
     if h in known and node.id != m.source:
-        return _NO_SENDS
-    if not check_stamp(m):
         return _NO_SENDS
     table = node.table
     if node.id == m.source:
@@ -203,7 +193,7 @@ def handle_message(
         and m.source in table
         and not (node.refuses_relay and refuse_withholds_confirms)
     ):
-        confirm = Message(h, confirm_size, m.source, m.relay, node.id, m.stamp, True)
+        confirm = Message(h, confirm_size, m.source, m.relay, node.id, is_confirmation=True)
         sends.append((m.source, confirm))
     if node.refuses_relay:
         return sends
@@ -216,35 +206,10 @@ def handle_message(
         if not bucket.entries:
             continue
         if forwarded is None:
-            forwarded = Message(h, m.size, m.source, m.relay, node.id, m.stamp)
+            forwarded = Message(h, m.size, m.source, m.relay, node.id)
         for entry in pick(bucket, beta, rng):
             sends.append((entry.peer, forwarded))
     return sends
-
-
-def vote_outcome(
-    source: NodeState,
-    confirmations: list[Message],
-    beta: int,
-    rng: Random,
-    now: int,
-) -> dict[int, int]:
-    """Feed confirmations through the source in arrival order.
-
-    Returns the score deltas the batch produced, keyed by peer id. Each
-    ticket admits one vote, so only the first confirmation per probe
-    counts: +1 for the probe itself and +1 for the relay whose branch
-    reached it.
-    """
-    before = source.table.scores()
-    for m in confirmations:
-        handle_message(source, m, beta, True, rng, now)
-    deltas: dict[int, int] = {}
-    for peer, score in source.table.scores().items():
-        gain = score - before.get(peer, 0)
-        if gain:
-            deltas[peer] = gain
-    return deltas
 
 
 def gossip_initiate(
@@ -286,5 +251,5 @@ def gossip_handle(
     candidates = [peer for peer in node.neighbors if peer != m.sender]
     if fanout < len(candidates):
         candidates = rng.sample(candidates, fanout)
-    forwarded = Message(m.hash, m.size, m.source, m.relay, node.id, m.stamp)
+    forwarded = Message(m.hash, m.size, m.source, m.relay, node.id)
     return [(peer, forwarded) for peer in candidates]

@@ -16,13 +16,13 @@ from functools import lru_cache
 from random import Random
 
 from .errors import ConfigurationError
-from .identity import check_id, check_width, shared_prefix_len
+from .identity import check_id, check_width
 
 
-def check_capacity(capacity: int) -> None:
+def check_capacity(capacity: int, name: str = "bucket capacity") -> None:
     # group sizes 1, 2, 4, ... only tile the rank range when capacity is 2^n - 1
     if not isinstance(capacity, int) or capacity < 1 or capacity & (capacity + 1):
-        raise ConfigurationError(f"bucket capacity must be 2**n - 1 for n >= 1, got {capacity!r}")
+        raise ConfigurationError(f"{name} must be 2**n - 1 for n >= 1, got {capacity!r}")
 
 
 @lru_cache(maxsize=None)
@@ -35,14 +35,6 @@ def rank_weights(capacity: int) -> tuple[int, ...]:
         group = (rank + 1).bit_length() - 1
         weights.append(1 << (groups - 1 - group))
     return tuple(weights)
-
-
-def weight_of_rank(rank: int, capacity: int) -> int:
-    """Weight of a single rank; see ``rank_weights``."""
-    check_capacity(capacity)
-    if not isinstance(rank, int) or rank < 0 or rank >= capacity:
-        raise ConfigurationError(f"rank {rank!r} outside a bucket of capacity {capacity}")
-    return rank_weights(capacity)[rank]
 
 
 class PeerEntry:
@@ -98,12 +90,6 @@ class RoutingTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def bucket_index(self, peer: int) -> int:
-        index = shared_prefix_len(self.owner, peer, self.width)
-        if index == self.width:
-            raise ConfigurationError(f"node {self.owner:#x} cannot route itself")
-        return index
-
     def entry_for(self, peer: int) -> PeerEntry | None:
         return self._entries.get(peer)
 
@@ -122,13 +108,6 @@ class RoutingTable:
         entry = PeerEntry(peer, 0, now)
         bucket.entries.append(entry)
         self._entries[peer] = entry
-        return True
-
-    def remove_peer(self, peer: int) -> bool:
-        entry = self._entries.pop(peer, None)
-        if entry is None:
-            return False
-        self.buckets[self.width - (self.owner ^ peer).bit_length()].entries.remove(entry)
         return True
 
     def add_score(self, peer: int, amount: int = 1) -> int:

@@ -204,7 +204,7 @@ def test_03_confirmation_voting_exact_outcome(capsys):
         probe_table = RoutingTable(probe_id, 3, 7)
         assert probe_table.insert_peer(1, now=0)
         probe = NodeState(probe_id, probe_table)
-        copy = Message(h, DATA_BYTES, 1, 3, 3, True)
+        copy = Message(h, DATA_BYTES, 1, 3, 3)
         out = handle_message(probe, copy, 1, True, random.Random(0), 5)
         confirmations.extend(out)
     shapes_ok = all(

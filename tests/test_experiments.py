@@ -137,6 +137,39 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         load_config_file(tmp_path / "missing.yaml")
 
 
+@pytest.mark.parametrize(
+    "section,line,field",
+    [
+        ("network", "n_nodes: 64.99", "n_nodes"),
+        ("broadcast", "interval_ms: 2.5", "interval_ms"),
+        ("experiment", "repeats: true", "repeats"),
+        ("broadcast", "betas: [1.9, 2]", "betas"),
+        ("broadcast", "fanouts: [2, true]", "fanouts"),
+        ("experiment", "horizon_s: 2.5", "horizon_s"),
+        ("experiment", "horizon_s: true", "horizon_s"),
+    ],
+)
+def test_config_file_rejects_truncated_numbers(tmp_path, section, line, field):
+    # YAML numbers and booleans must not be cut down to integers
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"scenario: coverage_offline\n{section}:\n  {line}\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError) as err:
+        build_config(file_values=load_config_file(path))
+    assert field in str(err.value)
+
+
+def test_config_file_accepts_whole_numbers(tmp_path):
+    path = tmp_path / "ok.yaml"
+    path.write_text(
+        "scenario: coverage_offline\nnetwork:\n  n_nodes: 64.0\n"
+        "broadcast:\n  betas: [1, 2.0]\nexperiment:\n  horizon_s: 30.0\n",
+        encoding="utf-8",
+    )
+    cfg = build_config(file_values=load_config_file(path))
+    assert (cfg.n_nodes, cfg.betas, cfg.horizon_s) == (64, (1, 2), 30)
+    assert isinstance(cfg.n_nodes, int) and isinstance(cfg.horizon_s, int)
+
+
 def test_emit_results_empty_bundle_writes_header_only(tmp_path):
     cfg = _tiny_audit_config()
     bundle = _bundle(cfg, [], [])

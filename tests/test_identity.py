@@ -1,8 +1,9 @@
-"""Identity-layer tests: XOR distance, shared prefixes, bucket indexing.
+"""Identity-layer tests: bucket indexing, width and id checks, id sampling.
 
-The shared-prefix oracle below recomputes prefixes by naive bit-string
-comparison so the bit arithmetic in the package is checked against an
-independent implementation.
+Bucket placement is checked on the code the engine runs,
+``RoutingTable.insert_peer``, against an oracle that recomputes the
+shared prefix by naive bit-string comparison, so the bit arithmetic in
+the package is checked against an independent implementation.
 """
 
 from __future__ import annotations
@@ -13,15 +14,12 @@ import pytest
 
 from nebcast.errors import ConfigurationError
 from nebcast.identity import (
-    DEFAULT_ADDRESS_BITS,
     MAX_ADDRESS_BITS,
-    bucket_index_of,
     check_id,
     check_width,
     sample_ids,
-    shared_prefix_len,
-    xor_distance,
 )
+from nebcast.routing import RoutingTable
 
 
 def _naive_shared_prefix(a: int, b: int, width: int) -> int:
@@ -36,25 +34,19 @@ def _naive_shared_prefix(a: int, b: int, width: int) -> int:
     return count
 
 
-def test_xor_distance_identity_and_definition():
-    assert xor_distance(0b0101, 0b0101, 4) == 0
-    assert xor_distance(0b0001, 0b1001, 4) == 0b1000
-    assert xor_distance(0, 0b1111, 4) == 0b1111
-
-
-def test_xor_distance_symmetry_random():
-    rng = random.Random(11)
-    for _ in range(1000):
-        a = rng.randrange(1 << 16)
-        b = rng.randrange(1 << 16)
-        assert xor_distance(a, b, 16) == xor_distance(b, a, 16)
-        assert (xor_distance(a, b, 16) == 0) == (a == b)
+def _bucket_of(owner: int, peer: int, width: int) -> int | None:
+    """Index of the bucket ``owner``'s table files ``peer`` into, or None if refused."""
+    table = RoutingTable(owner, width, 1)
+    if not table.insert_peer(peer):
+        return None
+    (index,) = [i for i, bucket in enumerate(table.buckets) if bucket.entries]
+    return index
 
 
 def test_shared_prefix_len_examples():
-    assert shared_prefix_len(0b1010, 0b1010, 4) == 4
-    assert shared_prefix_len(0b0000, 0b1000, 4) == 0
-    assert shared_prefix_len(0b1000, 0b1001, 4) == 3
+    assert _bucket_of(0b0000, 0b1000, 4) == 0
+    assert _bucket_of(0b1000, 0b1001, 4) == 3
+    assert _bucket_of(0b1010, 0b1110, 4) == 1
 
 
 def test_shared_prefix_len_matches_naive_scan():
@@ -63,7 +55,9 @@ def test_shared_prefix_len_matches_naive_scan():
         width = rng.choice((4, 8, 16))
         a = rng.randrange(1 << width)
         b = rng.randrange(1 << width)
-        assert shared_prefix_len(a, b, width) == _naive_shared_prefix(a, b, width)
+        if a == b:
+            continue
+        assert _bucket_of(a, b, width) == _naive_shared_prefix(a, b, width)
 
 
 def test_shared_prefix_first_divergent_bit_differs():
@@ -73,15 +67,15 @@ def test_shared_prefix_first_divergent_bit_differs():
         b = rng.randrange(1 << 16)
         if a == b:
             continue
-        k = shared_prefix_len(a, b, 16)
+        k = _bucket_of(a, b, 16)
         bit_a = (a >> (16 - 1 - k)) & 1
         bit_b = (b >> (16 - 1 - k)) & 1
         assert bit_a != bit_b
 
 
 def test_bucket_index_examples():
-    assert bucket_index_of(0b0000, 0b1000, 4) == 0
-    assert bucket_index_of(0b0000, 0b0001, 4) == 3
+    assert _bucket_of(0b0000, 0b1000, 4) == 0
+    assert _bucket_of(0b0000, 0b0001, 4) == 3
 
 
 def test_bucket_index_symmetry():
@@ -91,16 +85,18 @@ def test_bucket_index_symmetry():
         b = rng.randrange(1 << 16)
         if a == b:
             continue
-        assert bucket_index_of(a, b, 16) == bucket_index_of(b, a, 16)
+        assert _bucket_of(a, b, 16) == _bucket_of(b, a, 16)
 
 
 def test_bucket_index_rejects_self():
-    with pytest.raises(ConfigurationError):
-        bucket_index_of(5, 5, 8)
+    for width, owner in ((8, 5), (4, 0), (16, (1 << 16) - 1)):
+        table = RoutingTable(owner, width, 1)
+        assert not table.insert_peer(owner)
+        assert owner not in table and len(table) == 0
 
 
 def test_width_validation():
-    check_width(DEFAULT_ADDRESS_BITS)
+    check_width(1)
     check_width(MAX_ADDRESS_BITS)
     for bad in (0, -1, MAX_ADDRESS_BITS + 1):
         with pytest.raises(ConfigurationError):

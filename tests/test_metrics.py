@@ -17,43 +17,47 @@ from nebcast.experiments.runner import RunSpec, execute_run
 from nebcast.experiments.scenarios import run_scenario
 from nebcast.metrics import (
     BroadcastTracker,
-    MessageRec,
     coverage_percent,
     honest_coverage_percent,
     latency,
     online_unreceived_percent,
-    record,
 )
 
 
 def test_record_initiate_then_receives():
-    rec = MessageRec(seq=0, initiator=3, full_count=3)
-    record(rec, ("initiate", 100))
+    tracker = BroadcastTracker(n_nodes=3)
+    tracker.initiate(7, initiator=0, t=100)
+    rec = tracker.recs[0]
     assert rec.start_us == 100
-    assert rec.received_count == 0 and not rec.complete
-    record(rec, ("receive", 100))
-    record(rec, ("receive", 2_000))
+    assert rec.received_count == 1 and not rec.complete  # the initiator's own receipt
+    tracker.receive(7, 2_000, honest=True, node=1)
     assert rec.last_receive_us is None
-    record(rec, ("receive", 12_000_000))
+    assert latency(rec) is None
+    tracker.receive(7, 12_000_000, honest=True, node=2)
     assert rec.complete
     assert rec.last_receive_us == 12_000_000
     assert latency(rec) == 12_000_000 - 100
 
 
-def test_record_rejects_overcount_and_unknown_kind():
-    rec = MessageRec(seq=0, initiator=0, full_count=1)
-    record(rec, ("receive", 5))
+def test_tracker_rejects_overcount():
+    tracker = BroadcastTracker(n_nodes=2)
+    tracker.initiate(7, initiator=0, t=5)
+    tracker.receive(7, 6, honest=True, node=1)
     with pytest.raises(AssertionError):
-        record(rec, ("receive", 6))
-    with pytest.raises(ConfigurationError):
-        record(rec, ("expire", 7))
+        tracker.receive(7, 7, honest=True, node=1)
+    skipped = BroadcastTracker(n_nodes=1)
+    skipped.initiate_skipped(8, initiator=0, t=5)
+    skipped.receive(8, 6, honest=True, node=0)
+    with pytest.raises(AssertionError):
+        skipped.receive(8, 7, honest=True, node=0)
 
 
 def test_latency_incomplete_is_none():
-    rec = MessageRec(seq=0, initiator=0, full_count=2)
-    record(rec, ("initiate", 50))
-    record(rec, ("receive", 60))
-    assert latency(rec) is None
+    tracker = BroadcastTracker(n_nodes=3)
+    tracker.initiate(7, initiator=0, t=50)
+    tracker.receive(7, 60, honest=True, node=1)
+    assert tracker.recs[0].start_us == 50
+    assert latency(tracker.recs[0]) is None
 
 
 def test_tracker_counts_initiator_at_start():

@@ -22,7 +22,6 @@ from nebcast.protocol import (
     gossip_initiate,
     handle_message,
     initiate_broadcast,
-    vote_outcome,
 )
 from nebcast.routing import RoutingTable
 
@@ -42,8 +41,8 @@ def _node(owner: int, width: int = 3, capacity: int = 7, peers=(), refuses=False
     return node
 
 
-def _data(h: int, source: int, relay: int, sender: int, stamp: bool = True) -> Message:
-    return Message(h, DATA_BYTES, source, relay, sender, stamp)
+def _data(h: int, source: int, relay: int, sender: int) -> Message:
+    return Message(h, DATA_BYTES, source, relay, sender)
 
 
 def test_initiate_one_relay_per_bucket_and_tickets_for_the_rest():
@@ -96,20 +95,12 @@ def test_initiate_beta_covers_everything():
     assert node.tickets == set()
 
 
-def test_handle_corrupt_stamp_drops_without_effects():
-    node = _node(5, peers=(1, 2))
-    m = _data(7, source=1, relay=5, sender=1, stamp=False)
-    assert handle_message(node, m, 1, True, random.Random(1), 0) == ()
-    assert node.known == set()
-    assert node.table.scores() == {1: 0, 2: 0}
-
-
-def test_handle_custom_stamp_check():
-    node = _node(5, peers=(1, 2))
-    m = _data(7, source=1, relay=5, sender=1)
-    out = handle_message(node, m, 1, True, random.Random(1), 0, check_stamp=lambda _m: False)
-    assert out == ()
-    assert node.known == set()
+def test_message_kind_is_keyword_only():
+    # a sixth positional argument must not silently turn data into a confirmation
+    with pytest.raises(TypeError):
+        Message(7, DATA_BYTES, 1, 3, 3, True)
+    assert not Message(7, DATA_BYTES, 1, 3, 3).is_confirmation
+    assert Message(7, CONFIRM_BYTES, 1, 3, 3, is_confirmation=True).is_confirmation
 
 
 def test_handle_new_message_scores_sender_and_relays_subtree_only():
@@ -169,7 +160,7 @@ def test_source_settles_vote_from_confirmation():
     source = _node(1, peers=(2, 4, 5))
     source.known.add(7)
     source.tickets.add(Ticket(7, 4))
-    confirm = Message(7, CONFIRM_BYTES, 1, 2, 4, True, True)
+    confirm = Message(7, CONFIRM_BYTES, 1, 2, 4, is_confirmation=True)
     assert handle_message(source, confirm, 1, True, _RankZeroRng(), 0) == ()
     assert source.table.scores()[4] == 1  # probe credit
     assert source.table.scores()[2] == 1  # relay credit
@@ -179,7 +170,7 @@ def test_source_settles_vote_from_confirmation():
 def test_source_ignores_confirmation_without_ticket():
     source = _node(1, peers=(2, 4, 5))
     source.known.add(7)
-    confirm = Message(7, CONFIRM_BYTES, 1, 2, 4, True, True)
+    confirm = Message(7, CONFIRM_BYTES, 1, 2, 4, is_confirmation=True)
     assert handle_message(source, confirm, 1, True, _RankZeroRng(), 0) == ()
     assert all(score == 0 for score in source.table.scores().values())
 
@@ -235,19 +226,25 @@ def test_vote_settlement_first_confirmation_per_probe_wins():
 
     base = source.table.scores()
     confirmations = [
-        Message(7, CONFIRM_BYTES, 1, 3, 2, True, True),
-        Message(7, CONFIRM_BYTES, 1, 3, 5, True, True),
-        Message(7, CONFIRM_BYTES, 1, 3, 2, True, True),  # repeat vote, must not count
+        Message(7, CONFIRM_BYTES, 1, 3, 2, is_confirmation=True),
+        Message(7, CONFIRM_BYTES, 1, 3, 5, is_confirmation=True),
+        Message(7, CONFIRM_BYTES, 1, 3, 2, is_confirmation=True),  # repeat vote, must not count
     ]
-    deltas = vote_outcome(source, confirmations, 1, _RankZeroRng(), 10)
+    for m in confirmations:
+        assert handle_message(source, m, 1, True, _RankZeroRng(), 10) == ()
+    after = source.table.scores()
+    deltas = {peer: after[peer] - base[peer] for peer in after if after[peer] != base[peer]}
     assert deltas == {3: 2, 2: 1, 5: 1}
     assert source.table.scores()[4] == base[4]  # losing relay gains nothing
     assert source.tickets == set()
 
 
 def test_vote_outcome_empty_batch():
-    source = _node(1, peers=(2, 3))
-    assert vote_outcome(source, [], 1, _RankZeroRng(), 0) == {}
+    # issuing tickets credits nobody: without a confirmation no score moves
+    source = _node(1, peers=(2, 3, 4, 5))
+    initiate_broadcast(source, DATA_BYTES, 1, True, _RankZeroRng(), 0, 7)
+    assert source.tickets == {Ticket(7, 5), Ticket(7, 3)}
+    assert source.table.scores() == {2: 0, 3: 0, 4: 0, 5: 0}
 
 
 def test_gossip_initiate_and_fanout_cap():
@@ -303,7 +300,7 @@ def test_ticket_votes_conserved_per_broadcast():
     from nebcast.protocol import SCORE_PROBE_VOTE, SCORE_RELAY_VOTE
     from nebcast.seeding import stream
 
-    config = NetworkConfig(40, seed=61)
+    config = NetworkConfig(40)
     nodes, profiles = bootstrap_topology(config, stream(61, "topology", 0))
     engine = Engine(
         nodes,

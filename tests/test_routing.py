@@ -21,7 +21,6 @@ from nebcast.routing import (
     rank_weights,
     select_relays,
     select_uniform,
-    weight_of_rank,
 )
 
 
@@ -88,11 +87,10 @@ def test_rank_weights_group_sums_equal():
 
 
 def test_weight_of_rank_validation():
-    assert weight_of_rank(0, 7) == 4
-    with pytest.raises(ConfigurationError):
-        weight_of_rank(7, 7)
-    with pytest.raises(ConfigurationError):
-        weight_of_rank(-1, 7)
+    # one weight per rank of the bucket, and none beyond its capacity
+    weights = rank_weights(7)
+    assert weights[0] == 4
+    assert len(weights) == 7
     for bad_capacity in (0, 2, 4, 6, 16):
         with pytest.raises(ConfigurationError):
             rank_weights(bad_capacity)
@@ -113,14 +111,18 @@ def test_insert_rejects_self_duplicate_and_overflow():
 
 
 def test_remove_and_reinsert_drops_score():
+    # a peer leaves a table only when churn clears the whole table
     table = RoutingTable(owner=0, width=4, capacity=3)
     table.insert_peer(8, now=0)
+    table.insert_peer(4, now=1)
     table.add_score(8, 5)
     assert table.entry_for(8).score == 5
-    assert table.remove_peer(8)
-    assert not table.remove_peer(8)
-    table.insert_peer(8, now=9)
+    table.clear()
+    assert 8 not in table and len(table) == 0
+    assert all(not bucket.entries for bucket in table.buckets)
+    assert table.insert_peer(8, now=9)
     assert table.entry_for(8).score == 0
+    assert table.entry_for(8).inserted_at == 9
 
 
 def test_add_score_unknown_peer_is_ignored():
@@ -151,10 +153,10 @@ def test_bucket_order_invariant_under_random_operations():
             if action < 0.4:
                 table.insert_peer(peer, now=now)
                 now += 1
-            elif action < 0.9:
+            elif action < 0.99:
                 table.add_score(peer, rng.randrange(1, 4))
             else:
-                table.remove_peer(peer)
+                table.clear()
             for bucket in table.buckets:
                 keys = [(-e.score, e.inserted_at) for e in bucket.entries]
                 assert keys == sorted(keys)

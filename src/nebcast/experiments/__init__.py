@@ -2,14 +2,7 @@
 
 from .config import PROFILES, SCENARIOS, ScenarioConfig, build_config
 from .runner import RunSpec, RunResult, execute_run
-from .scenarios import (
-    emit_results,
-    run_faultfree_audit,
-    run_gossip_sweep,
-    run_latency,
-    run_coverage,
-    run_scenario,
-)
+from .scenarios import emit_results, run_scenario
 
 __all__ = [
     "PROFILES",
@@ -20,9 +13,5 @@ __all__ = [
     "RunResult",
     "execute_run",
     "emit_results",
-    "run_faultfree_audit",
-    "run_gossip_sweep",
-    "run_latency",
-    "run_coverage",
     "run_scenario",
 ]

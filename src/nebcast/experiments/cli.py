@@ -14,7 +14,7 @@ import sys
 
 from ..errors import ConfigurationError
 from .config import PROFILES, SCENARIOS, build_config, load_config_file, parse_set_overrides
-from .scenarios import emit_results, run_faultfree_audit, run_scenario
+from .scenarios import emit_results, run_scenario
 
 EXIT_OK = 0
 EXIT_AUDIT_FAILED = 1
@@ -44,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, help="output directory for broadcasts.csv / summary.json")
 
     audit = sub.add_parser("audit", help="check fault-free delivery invariants")
-    audit.add_argument("--scenario", choices=("faultfree",), default="faultfree")
     audit.add_argument("--n", type=int, required=True, help="network size")
     audit.add_argument("--seed", type=int, default=1)
     return parser
@@ -85,7 +84,7 @@ def _cmd_audit(args) -> int:
         scenario="faultfree_audit",
         overrides={"n_nodes": args.n, "seed": args.seed},
     )
-    bundle = run_faultfree_audit(cfg)
+    bundle = run_scenario(cfg)
     failed = 0
     for check in bundle["checks"]:
         status = "ok" if check["passed"] else "FAIL"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -19,9 +20,17 @@ from ..errors import ConfigurationError
 from ..identity import check_width
 from ..routing import check_capacity
 
-SCENARIOS = ("latency", "coverage_offline", "coverage_refuse", "gossip_sweep", "faultfree_audit")
+# scenario -> the disturbances it runs under, its default first
+SCENARIO_DISTURBANCES: dict[str, tuple[str, ...]] = {
+    "latency": ("none",),
+    "coverage_offline": ("churn_once", "churn_periodic"),
+    "coverage_refuse": ("refuse_half",),
+    # gossip ignores refusal, and the audit's invariants hold only fault-free
+    "gossip_sweep": ("none",),
+    "faultfree_audit": ("none",),
+}
 
-DISTURBANCES = ("none", "churn_once", "churn_periodic", "refuse_half")
+SCENARIOS = tuple(SCENARIO_DISTURBANCES)
 
 VARIANTS = ("baseline", "ne")
 
@@ -73,9 +82,11 @@ class ScenarioConfig:
             raise ConfigurationError(f"repeats must be at least 1, got {self.repeats}")
         if not self.variants or any(v not in VARIANTS for v in self.variants):
             raise ConfigurationError(f"variants must draw from {VARIANTS}, got {self.variants}")
-        if self.disturbance not in DISTURBANCES:
+        allowed = SCENARIO_DISTURBANCES[self.scenario]
+        if self.disturbance not in allowed:
             raise ConfigurationError(
-                f"disturbance must be one of {DISTURBANCES}, got {self.disturbance!r}"
+                f"disturbance: {self.scenario} runs under one of {allowed},"
+                f" got {self.disturbance!r}"
             )
         if self.disturbance_period_s < 1:
             raise ConfigurationError(
@@ -85,27 +96,14 @@ class ScenarioConfig:
             raise ConfigurationError("flood_check_broadcasts must be nonnegative")
         if self.horizon_s is not None and self.horizon_s < 1:
             raise ConfigurationError(f"horizon_s must be positive when set, got {self.horizon_s}")
-        if self.scenario == "latency" and self.disturbance != "none":
-            raise ConfigurationError("disturbance: the latency scenario runs fault-free")
-        if self.scenario == "coverage_offline" and self.disturbance not in (
-            "churn_once",
-            "churn_periodic",
-        ):
-            raise ConfigurationError(
-                "disturbance: coverage_offline needs churn_once or churn_periodic"
-            )
-        if self.scenario == "coverage_refuse" and self.disturbance != "refuse_half":
-            raise ConfigurationError("disturbance: coverage_refuse needs refuse_half")
         return self
 
 
 # per-scenario defaults layered over the dataclass defaults
 SCENARIO_DEFAULTS: dict[str, dict] = {
-    "latency": {"betas": (1, 2, 3), "interval_ms": 2, "repeats": 1, "disturbance": "none"},
-    "coverage_offline": {"disturbance": "churn_once"},
-    "coverage_refuse": {"disturbance": "refuse_half"},
-    "gossip_sweep": {"rounds_per_node": 1, "repeats": 5, "disturbance": "none"},
-    "faultfree_audit": {"betas": (1,), "rounds_per_node": 1, "repeats": 1, "disturbance": "none"},
+    "latency": {"betas": (1, 2, 3), "interval_ms": 2, "repeats": 1},
+    "gossip_sweep": {"rounds_per_node": 1, "repeats": 5},
+    "faultfree_audit": {"betas": (1,), "rounds_per_node": 1, "repeats": 1},
 }
 
 # named presets; desk is the do-nothing default
@@ -147,21 +145,7 @@ _FIELD_SECTION = {
     name: section for section, names in SECTION_FIELDS.items() for name in names
 }
 
-_LIST_FIELDS = {"betas", "fanouts", "variants"}
-_INT_FIELDS = {
-    "n_nodes",
-    "address_bits",
-    "bucket_capacity",
-    "data_msg_bytes",
-    "confirm_msg_bytes",
-    "interval_ms",
-    "rounds_per_node",
-    "repeats",
-    "disturbance_period_s",
-    "flood_check_broadcasts",
-    "seed",
-}
-_BOOL_FIELDS = {"refuse_withholds_confirmations"}
+_FIELD_TYPES = get_type_hints(ScenarioConfig)
 
 
 def _int(name: str, value, what: str = "an integer") -> int:
@@ -176,26 +160,27 @@ def _int(name: str, value, what: str = "an integer") -> int:
 
 
 def _coerce(name: str, value) -> object:
-    """Bring a raw YAML or --set value into the field's shape."""
-    if name in _LIST_FIELDS:
+    """Bring a raw YAML or --set value into the shape of the field's type."""
+    kind = _FIELD_TYPES[name]
+    if get_origin(kind) is tuple:
         if isinstance(value, str):
             value = [part.strip() for part in value.split(",") if part.strip()]
         if not isinstance(value, (list, tuple)):
             raise ConfigurationError(f"{name} must be a list, got {value!r}")
-        if name == "variants":
+        if get_args(kind)[0] is str:
             return tuple(str(v) for v in value)
         return tuple(_int(name, v, "a list of integers") for v in value)
-    if name in _BOOL_FIELDS:
+    if kind is bool:
         if isinstance(value, bool):
             return value
         if isinstance(value, str) and value.lower() in ("true", "false"):
             return value.lower() == "true"
         raise ConfigurationError(f"{name} must be true or false, got {value!r}")
-    if name == "horizon_s":
+    if kind == int | None:
         if value is None or (isinstance(value, str) and value.lower() in ("null", "none", "")):
             return None
         return _int(name, value, "an integer or null")
-    if name in _INT_FIELDS:
+    if kind is int:
         return _int(name, value)
     return str(value)
 
@@ -275,7 +260,10 @@ def build_config(
     name = str(merged["scenario"])
     if name not in SCENARIOS:
         raise ConfigurationError(f"scenario must be one of {SCENARIOS}, got {name!r}")
-    values: dict[str, object] = {"scenario": name}
+    values: dict[str, object] = {
+        "scenario": name,
+        "disturbance": SCENARIO_DISTURBANCES[name][0],
+    }
     values.update(SCENARIO_DEFAULTS.get(name, {}))
     for key, raw in merged.items():
         if key == "scenario":

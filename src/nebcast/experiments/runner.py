@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from ..metrics import BroadcastTracker, latency
-from ..netsim import Engine, NetworkConfig, apply_disturbance, bootstrap_topology
+from ..netsim import Engine, NetworkConfig, assign_refusers, bootstrap_topology
 from ..seeding import stream
 
 
@@ -98,7 +98,7 @@ def execute_run(spec: RunSpec) -> RunResult:
 
     honest_nodes = spec.n_nodes
     if spec.disturbance == "refuse_half":
-        apply_disturbance(nodes, disturb_rng, "refuse_half")
+        assign_refusers(nodes, disturb_rng)
         honest_nodes = spec.n_nodes - spec.n_nodes // 2
 
     order = list(range(spec.n_nodes))

@@ -1,6 +1,6 @@
 """The experiment families and result serialization.
 
-Each driver expands a ScenarioConfig into a grid of RunSpecs, executes
+``run_scenario`` expands a ScenarioConfig into a grid of RunSpecs, executes
 them, and folds the outcomes into one bundle: per-broadcast rows for
 the CSV, aggregated per-cell statistics for the summary JSON. Row and
 cell order follow the configured variant/redundancy/repeat order, so a
@@ -13,9 +13,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
-from ..errors import ConfigurationError
 from ..metrics import coverage_percent, honest_coverage_percent, online_unreceived_percent
 from .config import ScenarioConfig, config_as_dict
 from .runner import RunResult, RunSpec, broadcast_count, execute_run
@@ -52,17 +52,11 @@ def _spec_for(cfg: ScenarioConfig, variant: str, redundancy: int, repeat: int, *
     )
 
 
-def _cell(
-    cfg: ScenarioConfig,
-    variant: str,
-    redundancy: int,
-    results: list[RunResult],
-    honest_denominator: bool,
-) -> dict:
+def _cell(cfg: ScenarioConfig, variant: str, redundancy: int, results: list[RunResult]) -> dict:
     rounds = broadcast_count(results[0].spec)
     coverage = coverage_percent([r.received_total for r in results], rounds, cfg.n_nodes)
     honest_cov = None
-    if honest_denominator:
+    if cfg.disturbance == "refuse_half":
         honest_cov = honest_coverage_percent(
             [r.honest_received_total for r in results],
             rounds,
@@ -115,19 +109,24 @@ def _rows(variant: str, redundancy: int, results: list[RunResult]) -> list[tuple
     return out
 
 
-def _grid(cfg: ScenarioConfig, variants, redundancies, honest_denominator=False, **extra):
-    """Run the full (variant, redundancy, repeat) grid of a scenario."""
+def _grid(cfg: ScenarioConfig, variants, redundancies, **extra):
+    """Run the full (variant, redundancy, repeat) grid of a scenario.
+
+    Returns the summary cells, the CSV rows, and each cell's runs.
+    """
     cells = []
     rows = []
+    runs = []
     for variant in variants:
         for redundancy in redundancies:
             results = [
                 execute_run(_spec_for(cfg, variant, redundancy, repeat, **extra))
                 for repeat in range(cfg.repeats)
             ]
-            cells.append(_cell(cfg, variant, redundancy, results, honest_denominator))
+            cells.append(_cell(cfg, variant, redundancy, results))
             rows.extend(_rows(variant, redundancy, results))
-    return cells, rows
+            runs.append(results)
+    return cells, rows, runs
 
 
 def _bundle(cfg: ScenarioConfig, cells: list[dict], rows: list[tuple], **metadata) -> dict:
@@ -150,128 +149,92 @@ def _bundle(cfg: ScenarioConfig, cells: list[dict], rows: list[tuple], **metadat
     }
 
 
-def run_latency(cfg: ScenarioConfig) -> dict:
-    """Fault-free latency comparison across betas and variants."""
-    cells, rows = _grid(cfg, cfg.variants, cfg.betas)
-    return _bundle(cfg, cells, rows)
+def _audit_checks(cfg: ScenarioConfig, runs: list[list[RunResult]]) -> list[dict]:
+    """Delivery invariants of a fault-free grid, per (variant, beta) cell.
 
-
-def run_coverage(cfg: ScenarioConfig) -> dict:
-    """Coverage under churn or refusal, per (variant, beta)."""
-    honest = cfg.disturbance == "refuse_half"
-    cells, rows = _grid(cfg, cfg.variants, cfg.betas, honest_denominator=honest)
-    return _bundle(cfg, cells, rows)
-
-
-def run_gossip_sweep(cfg: ScenarioConfig) -> dict:
-    """Mean gossip coverage per fanout, plus one flooding check cell.
-
-    The gossip graph reuses each node's bootstrap routing-table
-    contents as a static neighbor list. The flooding cell runs with
-    fanout n_nodes - 1 (met by every degree) over a reduced broadcast
-    count, since one pass suffices to show the 100% limit.
-    """
-    cells, rows = _grid(cfg, ("gossip",), cfg.fanouts)
-    if cfg.flood_check_broadcasts > 0:
-        flood_fanout = cfg.n_nodes - 1
-        spec = _spec_for(
-            cfg,
-            "gossip",
-            flood_fanout,
-            repeat=0,
-            total_broadcasts=cfg.flood_check_broadcasts,
-        )
-        result = execute_run(spec)
-        flood_cell = _cell(cfg, "gossip", flood_fanout, [result], False)
-        flood_cell["flooding"] = True
-        cells.append(flood_cell)
-        rows.extend(_rows("gossip", flood_fanout, [result]))
-    return _bundle(cfg, cells, rows, gossip_graph="bootstrap-routing-tables")
-
-
-def run_faultfree_audit(cfg: ScenarioConfig) -> dict:
-    """Delivery invariants on a static fault-free network.
-
-    Checks, per variant at the configured beta: every broadcast
-    completes, coverage is exactly 100%, and at beta=1 each broadcast
-    costs exactly n_nodes - 1 data transmissions (for the baseline,
-    with zero duplicate deliveries on top).
+    Every broadcast completes, coverage is exactly 100%, and at beta=1
+    each broadcast costs exactly n_nodes - 1 data transmissions (for the
+    baseline, with zero duplicate deliveries on top).
     """
     checks = []
-    cells = []
-    rows = []
-    for variant in cfg.variants:
-        for beta in cfg.betas:
-            results = [
-                execute_run(
-                    _spec_for(cfg, variant, beta, repeat, count_per_hash=True)
-                )
-                for repeat in range(cfg.repeats)
-            ]
-            cells.append(_cell(cfg, variant, beta, results, False))
-            rows.extend(_rows(variant, beta, results))
-            label = f"{variant} beta={beta}"
-            complete = all(row[3] for r in results for row in r.rows)
+    for results in runs:
+        variant, beta = results[0].spec.variant, results[0].spec.redundancy
+        label = f"{variant} beta={beta}"
+        complete = sum(1 for r in results for row in r.rows if row[3])
+        total = sum(len(r.rows) for r in results)
+        checks.append(
+            {
+                "name": f"all broadcasts complete [{label}]",
+                "passed": complete == total,
+                "detail": f"{complete}/{total} complete",
+            }
+        )
+        cov = coverage_percent(
+            [r.received_total for r in results],
+            broadcast_count(results[0].spec),
+            cfg.n_nodes,
+        )
+        checks.append(
+            {
+                "name": f"coverage is 100% [{label}]",
+                "passed": cov == 100.0,
+                "detail": f"coverage {cov:.4f}%",
+            }
+        )
+        if beta != 1:
+            continue
+        expected = cfg.n_nodes - 1
+        counts = [c for r in results for c in r.per_hash_sends.values()]
+        off_target = sum(1 for c in counts if c != expected)
+        checks.append(
+            {
+                "name": f"data transmissions per broadcast = N-1 [{label}]",
+                "passed": off_target == 0 and len(counts) == total,
+                "detail": f"{off_target} broadcasts off target of {expected}",
+            }
+        )
+        if variant == "baseline":
+            dups = sum(r.duplicates for r in results)
             checks.append(
                 {
-                    "name": f"all broadcasts complete [{label}]",
-                    "passed": complete,
-                    "detail": f"{sum(1 for r in results for row in r.rows if row[3])}"
-                    f"/{sum(len(r.rows) for r in results)} complete",
+                    "name": f"zero duplicate deliveries [{label}]",
+                    "passed": dups == 0,
+                    "detail": f"{dups} duplicates",
                 }
             )
-            cov = coverage_percent(
-                [r.received_total for r in results],
-                broadcast_count(results[0].spec),
-                cfg.n_nodes,
-            )
-            checks.append(
-                {
-                    "name": f"coverage is 100% [{label}]",
-                    "passed": cov == 100.0,
-                    "detail": f"coverage {cov:.4f}%",
-                }
-            )
-            if beta == 1:
-                expected = cfg.n_nodes - 1
-                off_target = 0
-                tallied = 0
-                for r in results:
-                    counts = r.per_hash_sends or {}
-                    tallied += len(counts)
-                    off_target += sum(1 for c in counts.values() if c != expected)
-                checks.append(
-                    {
-                        "name": f"data transmissions per broadcast = N-1 [{label}]",
-                        "passed": off_target == 0
-                        and tallied == sum(len(r.rows) for r in results),
-                        "detail": f"{off_target} broadcasts off target of {expected}",
-                    }
-                )
-                if variant == "baseline":
-                    dups = sum(r.duplicates for r in results)
-                    checks.append(
-                        {
-                            "name": f"zero duplicate deliveries [{label}]",
-                            "passed": dups == 0,
-                            "detail": f"{dups} duplicates",
-                        }
-                    )
-    bundle = _bundle(cfg, cells, rows)
-    bundle["checks"] = checks
-    return bundle
+    return checks
 
 
 def run_scenario(cfg: ScenarioConfig) -> dict:
-    if cfg.scenario == "latency":
-        return run_latency(cfg)
-    if cfg.scenario in ("coverage_offline", "coverage_refuse"):
-        return run_coverage(cfg)
+    """Run a scenario's grid and fold it into one bundle.
+
+    The gossip sweep runs over fanouts instead of betas and adds one
+    flooding check cell: fanout n_nodes - 1 (met by every degree) over
+    a reduced broadcast count, since one pass suffices to show the 100%
+    limit. Its gossip graph reuses each node's bootstrap routing-table
+    contents as a static neighbor list. The fault-free audit adds the
+    checks of ``_audit_checks``.
+    """
+    cfg.validate()
     if cfg.scenario == "gossip_sweep":
-        return run_gossip_sweep(cfg)
-    if cfg.scenario == "faultfree_audit":
-        return run_faultfree_audit(cfg)
-    raise ConfigurationError(f"no driver for scenario {cfg.scenario!r}")
+        cells, rows, _ = _grid(cfg, ("gossip",), cfg.fanouts)
+        if cfg.flood_check_broadcasts > 0:
+            flood_cells, flood_rows, _ = _grid(
+                replace(cfg, repeats=1),
+                ("gossip",),
+                (cfg.n_nodes - 1,),
+                total_broadcasts=cfg.flood_check_broadcasts,
+            )
+            flood_cells[0]["flooding"] = True
+            cells += flood_cells
+            rows += flood_rows
+        return _bundle(cfg, cells, rows, gossip_graph="bootstrap-routing-tables")
+    audit = cfg.scenario == "faultfree_audit"
+    cells, rows, runs = _grid(cfg, cfg.variants, cfg.betas, count_per_hash=audit)
+    bundle = _bundle(cfg, cells, rows)
+    if audit:
+        bundle["checks"] = _audit_checks(cfg, runs)
+    return bundle
 
 
 def emit_results(bundle: dict, out_dir: str | Path) -> tuple[Path, Path]:

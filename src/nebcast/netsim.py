@@ -203,26 +203,20 @@ def assign_refusers(nodes: list[NodeState], rng: Random) -> set[int]:
 def apply_disturbance(
     nodes: list[NodeState],
     rng: Random,
-    mode: str,
-    profiles: list[NodeNetProfile] | None = None,
+    profiles: list[NodeNetProfile],
     now: int = 0,
     log: list | None = None,
 ) -> None:
-    """Re-roll liveness (churn) or assign refusers, per the mode.
+    """Re-roll every node's liveness (churn).
 
-    Churn: node with serial s (1-indexed) fails with probability s/N,
-    so roughly half the network drops each time and high serials almost
+    Node with serial s (1-indexed) fails with probability s/N, so
+    roughly half the network drops each time and high serials almost
     always do. Fresh casualties lose their routing table, tickets, and
     outgoing queue (the engine discards the queued packets themselves);
     nodes coming back refill their empty table with ``fill_table`` over
     every id, online or not, drawing from ``rng``. Survivors are
     untouched.
     """
-    if mode == "refuse_half":
-        assign_refusers(nodes, rng)
-        return
-    if mode != "churn":
-        raise ConfigurationError(f"unknown disturbance mode {mode!r}")
     n = len(nodes)
     sorted_ids = sorted(node.id for node in nodes)
     for i, node in enumerate(nodes):
@@ -232,8 +226,7 @@ def apply_disturbance(
                 node.online = False
                 node.table.clear()
                 node.tickets.clear()
-                if profiles is not None:
-                    profiles[i].busy_until = 0
+                profiles[i].busy_until = 0
                 if log is not None:
                     log.append(("node_offline", now, node.id))
         elif not node.online:
@@ -479,7 +472,7 @@ class Engine:
                 self.disturbances += 1
                 if log is not None:
                     log.append(("disturb", t, self.disturbances))
-                apply_disturbance(nodes, self.disturb_rng, "churn", profiles, t, log)
+                apply_disturbance(nodes, self.disturb_rng, profiles, t, log)
                 online_mask = _online_mask(nodes)
                 self._settle_held(t)
                 held = self.held

@@ -43,11 +43,7 @@ import time
 import pytest
 
 from nebcast.experiments.config import build_config
-from nebcast.experiments.scenarios import (
-    emit_results,
-    run_faultfree_audit,
-    run_scenario,
-)
+from nebcast.experiments.scenarios import emit_results, run_scenario
 from nebcast.protocol import (
     CONFIRM_BYTES,
     DATA_BYTES,
@@ -122,7 +118,7 @@ def test_01_exactly_once_fault_free_delivery(capsys):
             scenario="faultfree_audit",
             overrides={"n_nodes": str(n), "variants": "baseline", "seed": "1"},
         )
-        bundle = run_faultfree_audit(cfg)
+        bundle = run_scenario(cfg)
         failed = [check["name"] for check in bundle["checks"] if not check["passed"]]
         exact = all(cell["coverage_pct"] == 100.0 for cell in bundle["cells"])
         good = not failed and exact

@@ -23,7 +23,6 @@ from nebcast.experiments.scenarios import (
     _bundle,
     _percentile,
     emit_results,
-    run_faultfree_audit,
     run_scenario,
 )
 
@@ -93,12 +92,20 @@ def test_config_validation_messages_name_the_field():
 
 
 def test_scenario_disturbance_pairing_is_enforced():
-    with pytest.raises(ConfigurationError):
-        build_config(scenario="latency", overrides={"disturbance": "churn_once"})
-    with pytest.raises(ConfigurationError):
-        build_config(scenario="coverage_refuse", overrides={"disturbance": "churn_once"})
-    with pytest.raises(ConfigurationError):
-        build_config(scenario="coverage_offline", overrides={"disturbance": "none"})
+    rejected = [
+        ("latency", "churn_once"),
+        ("coverage_refuse", "churn_once"),
+        ("coverage_offline", "none"),
+        # gossip never reads refuses_relay, so a refuse_half cell would be mislabelled
+        ("gossip_sweep", "refuse_half"),
+        ("gossip_sweep", "churn_periodic"),
+        # the audit's invariants hold only on a fault-free network
+        ("faultfree_audit", "churn_once"),
+    ]
+    for scenario, disturbance in rejected:
+        with pytest.raises(ConfigurationError) as err:
+            build_config(scenario=scenario, overrides={"disturbance": disturbance})
+        assert "disturbance" in str(err.value)
 
 
 def test_parse_set_overrides():
@@ -181,7 +188,7 @@ def test_emit_results_empty_bundle_writes_header_only(tmp_path):
 
 
 def test_faultfree_audit_bundle_checks_pass():
-    bundle = run_faultfree_audit(_tiny_audit_config(n=8))
+    bundle = run_scenario(_tiny_audit_config(n=8))
     assert bundle["checks"], "audit must emit its checklist"
     for check in bundle["checks"]:
         assert check["passed"], check
@@ -217,8 +224,8 @@ def test_scenario_rows_and_csv_shape(tmp_path):
 
 def test_emit_results_byte_identical_across_reruns(tmp_path):
     cfg = _tiny_audit_config(n=16, seed=4)
-    first = emit_results(run_faultfree_audit(cfg), tmp_path / "a")
-    second = emit_results(run_faultfree_audit(cfg), tmp_path / "b")
+    first = emit_results(run_scenario(cfg), tmp_path / "a")
+    second = emit_results(run_scenario(cfg), tmp_path / "b")
     assert first[0].read_bytes() == second[0].read_bytes()
     assert first[1].read_bytes() == second[1].read_bytes()
 
@@ -310,6 +317,22 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys):
     )
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+    code = main(
+        [
+            "simulate",
+            "--scenario",
+            "gossip_sweep",
+            "--set",
+            "network.n_nodes=8",
+            "--set",
+            "experiment.disturbance=refuse_half",
+            "--out",
+            str(tmp_path / "y"),
+        ]
+    )
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "y").exists()
 
 
 def test_cli_reports_unwritable_output(tmp_path, capsys):

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from nebcast.experiments.config import build_config
+from nebcast.experiments.config import SCENARIO_DISTURBANCES, build_config
 from nebcast.experiments.scenarios import emit_results, run_scenario
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
@@ -59,6 +59,16 @@ def test_outputs_match_golden_digests(name, tmp_path):
 
 def test_golden_cases_are_all_pinned():
     assert sorted(json.loads(DIGESTS.read_text(encoding="utf-8"))) == sorted(CASES)
+
+
+def test_every_scenario_and_disturbance_has_a_golden_case():
+    # a scenario, or a disturbance it accepts, cannot land unpinned
+    pinned = set()
+    for scenario, overrides in CASES.values():
+        cfg = build_config(scenario=scenario, overrides={**BASE, **overrides})
+        pinned.add((cfg.scenario, cfg.disturbance))
+    accepted = {(s, d) for s, allowed in SCENARIO_DISTURBANCES.items() for d in allowed}
+    assert pinned == accepted
 
 
 if __name__ == "__main__":

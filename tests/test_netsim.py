@@ -168,7 +168,7 @@ def test_churn_returners_fill_every_bucket_to_its_range(n, bits, capacity):
     returners = 0
     for step in range(1, 9):
         was_online = [node.online for node in nodes]
-        apply_disturbance(nodes, rng, "churn", profiles, now=step)
+        apply_disturbance(nodes, rng, profiles, now=step)
         for before, node in zip(was_online, nodes):
             if node.online and not before:
                 returners += 1
@@ -296,7 +296,7 @@ def test_assign_refusers_marks_exactly_half():
 def test_churn_top_serial_always_fails():
     for seed in range(8):
         nodes, profiles, _ = _network(20, seed=4)
-        apply_disturbance(nodes, Random(seed), "churn", profiles)
+        apply_disturbance(nodes, Random(seed), profiles)
         assert not nodes[-1].online
 
 
@@ -308,7 +308,7 @@ def test_churn_offline_fraction_near_half():
     for seed in range(trials):
         for node in nodes:
             node.online = True
-        apply_disturbance(nodes, Random(seed), "churn", profiles)
+        apply_disturbance(nodes, Random(seed), profiles)
         total += sum(not node.online for node in nodes)
     fraction = total / (trials * n)
     assert abs(fraction - (n + 1) / (2 * n)) < 0.05
@@ -324,7 +324,7 @@ def test_churn_clears_casualties_and_rebootstraps_returners():
     nodes[10].tickets.add((1, 2))
     profiles[-1].busy_until = 99_999
     rng = Random(3)
-    apply_disturbance(nodes, rng, "churn", profiles, now=60)
+    apply_disturbance(nodes, rng, profiles, now=60)
     for i, node in enumerate(nodes):
         if not node.online:
             assert len(node.table) == 0
@@ -336,7 +336,7 @@ def test_churn_clears_casualties_and_rebootstraps_returners():
     was_online = [node.online for node in nodes]
     # returning nodes rebuild full tables at the disturbance time, blind
     # to who is online; survivors keep theirs entry for entry
-    apply_disturbance(nodes, rng, "churn", profiles, now=120)
+    apply_disturbance(nodes, rng, profiles, now=120)
     returners = 0
     for i, node in enumerate(nodes):
         if not node.online:
@@ -359,16 +359,10 @@ def test_churn_survivors_keep_their_tables():
     for seed in range(20):
         rng = Random(seed)
         if rng.random() >= 1 / 30:
-            apply_disturbance(nodes, Random(seed), "churn", profiles)
+            apply_disturbance(nodes, Random(seed), profiles)
             break
     assert nodes[0].online
     assert nodes[0].table.scores() == before
-
-
-def test_apply_disturbance_rejects_unknown_mode():
-    nodes, profiles, _ = _network(4, seed=1)
-    with pytest.raises(ConfigurationError):
-        apply_disturbance(nodes, Random(1), "meteor", profiles)
 
 
 def _run_engine(

@@ -82,6 +82,10 @@ class ScenarioConfig:
             raise ConfigurationError(f"repeats must be at least 1, got {self.repeats}")
         if not self.variants or any(v not in VARIANTS for v in self.variants):
             raise ConfigurationError(f"variants must draw from {VARIANTS}, got {self.variants}")
+        for name in ("betas", "fanouts", "variants"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigurationError(f"{name} must not repeat an entry, got {values}")
         allowed = SCENARIO_DISTURBANCES[self.scenario]
         if self.disturbance not in allowed:
             raise ConfigurationError(

@@ -13,8 +13,7 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass
 
-from ..errors import ConfigurationError
-from ..metrics import BroadcastTracker, latency
+from ..metrics import BroadcastTracker, MessageRec, latency
 from ..netsim import Engine, NetworkConfig, assign_refusers, bootstrap_topology
 from ..seeding import stream
 
@@ -46,23 +45,26 @@ class RunSpec:
 
 @dataclass
 class RunResult:
-    """Per-broadcast rows plus run-level tallies."""
+    """The tracker's per-broadcast records plus the engine's tallies."""
 
     spec: RunSpec
-    rows: list[tuple]  # (seq, initiator, latency_us | None, complete, received)
-    received_total: int
-    honest_received_total: int
+    recs: list[MessageRec]
     honest_nodes: int
-    online_received_total: int
-    online_population: int
     data_sends: int
     confirm_sends: int
     dropped_offline: int
-    accepted: int
     duplicates: int
     truncated: bool
     log: list[tuple] | None = None
     per_hash_sends: dict[int, int] | None = None
+
+    @property
+    def rows(self) -> list[tuple]:
+        """(seq, initiator, latency_us | None, complete, received) per broadcast."""
+        return [
+            (rec.seq, rec.initiator, latency(rec), rec.complete, rec.received_count)
+            for rec in self.recs
+        ]
 
 
 def broadcast_count(spec: RunSpec) -> int:
@@ -72,9 +74,7 @@ def broadcast_count(spec: RunSpec) -> int:
 
 
 def execute_run(spec: RunSpec) -> RunResult:
-    """Build the network, schedule the run, drain it, and collect rows."""
-    if spec.variant not in ("baseline", "ne", "gossip"):
-        raise ConfigurationError(f"variant must be baseline, ne, or gossip, got {spec.variant!r}")
+    """Build the network, schedule the run, drain it, and collect its records."""
     net = NetworkConfig(
         n_nodes=spec.n_nodes,
         address_bits=spec.address_bits,
@@ -85,8 +85,7 @@ def execute_run(spec: RunSpec) -> RunResult:
     topo_rng = stream(spec.seed, "topology", spec.repeat)
     nodes, profiles = bootstrap_topology(net, topo_rng, require_full_reach=spec.require_full_reach)
 
-    gossip = spec.variant == "gossip"
-    if gossip:
+    if spec.variant == "gossip":
         for node in nodes:
             node.neighbors = [
                 entry.peer for bucket in node.table.buckets for entry in bucket.entries
@@ -98,8 +97,7 @@ def execute_run(spec: RunSpec) -> RunResult:
 
     honest_nodes = spec.n_nodes
     if spec.disturbance == "refuse_half":
-        assign_refusers(nodes, disturb_rng)
-        honest_nodes = spec.n_nodes - spec.n_nodes // 2
+        honest_nodes -= len(assign_refusers(nodes, disturb_rng))
 
     order = list(range(spec.n_nodes))
     sched_rng.shuffle(order)
@@ -109,9 +107,8 @@ def execute_run(spec: RunSpec) -> RunResult:
         profiles,
         net,
         proto_rng,
+        variant=spec.variant,
         beta=spec.redundancy,
-        ne_enabled=spec.variant == "ne",
-        gossip_fanout=spec.redundancy if gossip else None,
         refuse_withholds_confirms=spec.refuse_withholds_confirms,
         disturb_rng=disturb_rng,
         tracker=tracker,
@@ -141,21 +138,13 @@ def execute_run(spec: RunSpec) -> RunResult:
     finally:
         gc.enable()
 
-    rows = []
-    for rec in tracker.recs:
-        rows.append((rec.seq, rec.initiator, latency(rec), rec.complete, rec.received_count))
     return RunResult(
         spec=spec,
-        rows=rows,
-        received_total=tracker.received_total(),
-        honest_received_total=tracker.honest_received_total(),
+        recs=tracker.recs,
         honest_nodes=honest_nodes,
-        online_received_total=tracker.online_received_total(),
-        online_population=tracker.online_population_total(),
         data_sends=engine.data_sends,
         confirm_sends=engine.confirm_sends,
         dropped_offline=engine.dropped_offline,
-        accepted=engine.accepted,
         duplicates=engine.duplicates,
         truncated=engine.truncated,
         log=engine.log,

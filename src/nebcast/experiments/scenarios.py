@@ -16,7 +16,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
-from ..metrics import coverage_percent, honest_coverage_percent, online_unreceived_percent
+from ..metrics import coverage_percent, honest_coverage_percent, latency, online_unreceived_percent
 from .config import ScenarioConfig, config_as_dict
 from .runner import RunResult, RunSpec, broadcast_count, execute_run
 
@@ -52,24 +52,28 @@ def _spec_for(cfg: ScenarioConfig, variant: str, redundancy: int, repeat: int, *
     )
 
 
+def _per_repeat(results: list[RunResult], field: str) -> list[int]:
+    """One run's records summed on ``field``, for each run."""
+    return [sum(getattr(rec, field) for rec in r.recs) for r in results]
+
+
 def _cell(cfg: ScenarioConfig, variant: str, redundancy: int, results: list[RunResult]) -> dict:
     rounds = broadcast_count(results[0].spec)
-    coverage = coverage_percent([r.received_total for r in results], rounds, cfg.n_nodes)
+    coverage = coverage_percent(_per_repeat(results, "received_count"), rounds, cfg.n_nodes)
     honest_cov = None
     if cfg.disturbance == "refuse_half":
         honest_cov = honest_coverage_percent(
-            [r.honest_received_total for r in results],
+            _per_repeat(results, "honest_received"),
             rounds,
             [r.honest_nodes for r in results],
         )
     online_unreceived = online_unreceived_percent(
-        [r.online_received_total for r in results],
-        [r.online_population for r in results],
+        _per_repeat(results, "online_received"),
+        _per_repeat(results, "online_count"),
     )
-    latencies = sorted(
-        row[2] for r in results for row in r.rows if row[2] is not None
-    )
-    incomplete = sum(1 for r in results for row in r.rows if row[2] is None)
+    spans = [latency(rec) for r in results for rec in r.recs]
+    latencies = sorted(span for span in spans if span is not None)
+    incomplete = len(spans) - len(latencies)
     return {
         "variant": variant,
         "beta": redundancy,
@@ -160,8 +164,8 @@ def _audit_checks(cfg: ScenarioConfig, runs: list[list[RunResult]]) -> list[dict
     for results in runs:
         variant, beta = results[0].spec.variant, results[0].spec.redundancy
         label = f"{variant} beta={beta}"
-        complete = sum(1 for r in results for row in r.rows if row[3])
-        total = sum(len(r.rows) for r in results)
+        complete = sum(rec.complete for r in results for rec in r.recs)
+        total = sum(len(r.recs) for r in results)
         checks.append(
             {
                 "name": f"all broadcasts complete [{label}]",
@@ -170,7 +174,7 @@ def _audit_checks(cfg: ScenarioConfig, runs: list[list[RunResult]]) -> list[dict
             }
         )
         cov = coverage_percent(
-            [r.received_total for r in results],
+            _per_repeat(results, "received_count"),
             broadcast_count(results[0].spec),
             cfg.n_nodes,
         )

@@ -131,18 +131,6 @@ class BroadcastTracker:
         if rec.online_at_start >> node & 1:
             rec.online_received += 1
 
-    def received_total(self) -> int:
-        return sum(rec.received_count for rec in self.recs)
-
-    def honest_received_total(self) -> int:
-        return sum(rec.honest_received for rec in self.recs)
-
-    def online_received_total(self) -> int:
-        return sum(rec.online_received for rec in self.recs)
-
-    def online_population_total(self) -> int:
-        return sum(rec.online_count for rec in self.recs)
-
 
 def coverage_percent(received_totals: Sequence[int], rounds: int, n_nodes: int) -> float:
     """Aggregate coverage over repeats, in percent.

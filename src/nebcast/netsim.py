@@ -17,7 +17,10 @@ route around dead entries. Disturbances re-roll every node's status
 at once; survivors keep their tables, casualties lose theirs together
 with every queued packet whose transmission had not started yet, and
 returning nodes rebuild from scratch the same way the initial
-bootstrap did (``fill_table``), blind to who is online.
+bootstrap did (``fill_table``), blind to who is online. A send queued
+to start at or after the next disturbance waits on the heap as a
+``HELD`` event at that disturbance's time, so the sender's fate is
+known before the send is committed.
 """
 
 from __future__ import annotations
@@ -60,10 +63,11 @@ DELAY_US = (
 
 DEFAULT_BUCKET_CAPACITY = 15
 
-# event kinds, also the order they appear in heap tuples
+# event kinds, the third field of every heap tuple
 DELIVER = 0
 INITIATE = 1
 DISTURB = 2
+HELD = 3
 
 # "no disturbance pending"; later than any simulated time
 _NEVER = 1 << 63
@@ -253,12 +257,20 @@ class Engine:
     send intents. ``collect_log=True`` records every event for audits;
     experiment runs leave it off and read the counters instead.
 
+    ``variant`` is the protocol: ``baseline`` (uniform subtree relays),
+    ``ne`` (rank-weighted relays with neighbor evaluation) or
+    ``gossip`` (push gossip over ``node.neighbors``). ``beta`` is the
+    relays per bucket, or the gossip fanout.
+
     A transmission is committed (scheduled, counted, logged as
     ``send``) when it is queued, unless it would start at or after the
-    next pending disturbance. Such a packet waits until that
-    disturbance has fired: if its sender went down, the packet is lost
-    with the queue (logged as ``queue_lost``); otherwise it is committed
-    as queued, or waits for the disturbance after.
+    next pending disturbance. Such a send goes onto the heap as a
+    ``HELD`` event at that disturbance's time and keeps its own
+    sequence number. Every disturbance is pushed before ``run``, so it
+    pops before the held sends of its time. When a held send pops, it
+    is lost with the queue if its sender went down (logged as
+    ``queue_lost``), held again if it would start at or after the
+    following disturbance, and committed as queued otherwise.
     """
 
     def __init__(
@@ -267,9 +279,8 @@ class Engine:
         profiles: list[NodeNetProfile],
         config: NetworkConfig,
         rng: Random,
+        variant: str = "baseline",
         beta: int = 1,
-        ne_enabled: bool = False,
-        gossip_fanout: int | None = None,
         refuse_withholds_confirms: bool = False,
         disturb_rng: Random | None = None,
         tracker: BroadcastTracker | None = None,
@@ -279,13 +290,17 @@ class Engine:
     ):
         if len(nodes) != len(profiles):
             raise ConfigurationError("every node needs exactly one net profile")
+        if variant not in ("baseline", "ne", "gossip"):
+            raise ConfigurationError(f"variant must be baseline, ne, or gossip, got {variant!r}")
+        if beta < 1:
+            raise ConfigurationError(f"redundancy must be at least 1, got {beta}")
         self.nodes = nodes
         self.profiles = profiles
         self.config = config
         self.rng = rng
+        self.variant = variant
         self.beta = beta
-        self.ne_enabled = ne_enabled
-        self.gossip_fanout = gossip_fanout
+        self.ne_enabled = variant == "ne"
         self.refuse_withholds = refuse_withholds_confirms
         self.disturb_rng = disturb_rng
         self.tracker = tracker
@@ -304,10 +319,8 @@ class Engine:
         self.accepted = 0
         self.duplicates = 0
         self.disturbances = 0
-        # times of disturbances not yet fired (a min-heap), and per sender
-        # index the sends queued past the earliest of them
+        # times of disturbances not yet fired, a min-heap
         self.disturb_times: list[int] = []
-        self.held: dict[int, list[tuple]] = {}
 
     def push_initiate(self, t: int, slot: int) -> None:
         """Schedule a broadcast for the node at ``initiate_order[slot % n]``.
@@ -350,25 +363,6 @@ class Engine:
                 )
             )
 
-    def _settle_held(self, now: int) -> None:
-        """Resolve held sends once the disturbance at ``now`` has fired."""
-        next_disturb = self.disturb_times[0] if self.disturb_times else _NEVER
-        still_held: dict[int, list[tuple]] = {}
-        for si, queued in self.held.items():
-            sender = self.nodes[si]
-            if not sender.online:
-                if self.log is not None:
-                    for _t, ti, sm, _start, _arrival, _seq in queued:
-                        self.log.append(("queue_lost", now, sender.id, self.nodes[ti].id, sm.hash))
-                continue
-            for item in queued:
-                if item[3] >= next_disturb:
-                    still_held.setdefault(si, []).append(item)
-                else:
-                    t, ti, sm, start, arrival, seq = item
-                    self._commit(sender, ti, sm, t, start, arrival, seq)
-        self.held = still_held
-
     def run(self, horizon_us: int | None = None) -> None:
         """Drain the heap, or stop (flag truncated) past the horizon."""
         heap = self.heap
@@ -381,8 +375,7 @@ class Engine:
         log = self.log
         beta = self.beta
         ne = self.ne_enabled
-        fanout = self.gossip_fanout
-        gossip = fanout is not None
+        gossip = self.variant == "gossip"
         payload = self.config.data_msg_bytes
         confirm_size = self.config.confirm_msg_bytes
         withholds = self.refuse_withholds
@@ -390,7 +383,6 @@ class Engine:
         pop = heappop
         push = heappush
         commit = self._commit
-        held = self.held
         next_disturb = dtimes[0] if dtimes else _NEVER
         online_mask = _online_mask(nodes)
 
@@ -416,7 +408,7 @@ class Engine:
                 h = m.hash
                 was_new = h not in node.known
                 if gossip:
-                    sends = gossip_handle(node, m, fanout, rng)
+                    sends = gossip_handle(node, m, beta, rng)
                 else:
                     sender = m.sender
                     # passive discovery: adopt a live unknown sender if there is room
@@ -463,20 +455,31 @@ class Engine:
                 if log is not None:
                     log.append(("initiate", t, node.id, h))
                 if gossip:
-                    sends = gossip_initiate(node, payload, fanout, rng, h)
+                    sends = gossip_initiate(node, payload, beta, rng, h)
                 else:
                     sends = initiate_broadcast(node, payload, beta, ne, rng, t, h, log)
 
-            else:
+            elif kind == DISTURB:
                 heappop(dtimes)
                 self.disturbances += 1
                 if log is not None:
                     log.append(("disturb", t, self.disturbances))
                 apply_disturbance(nodes, self.disturb_rng, profiles, t, log)
                 online_mask = _online_mask(nodes)
-                self._settle_held(t)
-                held = self.held
                 next_disturb = dtimes[0] if dtimes else _NEVER
+                continue
+
+            else:
+                # a send held for the disturbance that fired at t
+                _, hseq, _, si, sm, ti, queued_at, start, arrival = event
+                sender = nodes[si]
+                if not sender.online:
+                    if log is not None:
+                        log.append(("queue_lost", t, sender.id, nodes[ti].id, sm.hash))
+                elif start >= next_disturb:
+                    push(heap, (next_disturb, *event[1:]))
+                else:
+                    commit(sender, ti, sm, queued_at, start, arrival, hseq)
                 continue
 
             if not sends:
@@ -496,7 +499,7 @@ class Engine:
                 busy = start + (sm.size * 8_000_000 + bps - 1) // bps
                 arrival = busy + srow[profiles[ti].region]
                 if start >= next_disturb:
-                    held.setdefault(di, []).append((t, ti, sm, start, arrival, seq))
+                    push(heap, (next_disturb, seq, HELD, di, sm, ti, t, start, arrival))
                 else:
                     commit(node, ti, sm, t, start, arrival, seq)
                 seq += 1

@@ -220,8 +220,6 @@ def gossip_initiate(
     msg_hash: int,
 ) -> list[tuple[int, Message]]:
     """Start a gossip round: push to ``fanout`` random neighbors."""
-    if fanout < 1:
-        raise ConfigurationError(f"fanout must be at least 1, got {fanout}")
     if msg_hash in node.known:
         raise ConfigurationError(f"hash {msg_hash} already initiated or received at this node")
     node.known.add(msg_hash)
@@ -243,8 +241,6 @@ def gossip_handle(
     The sender is excluded from the candidate set, so the effective
     fanout is capped at degree - 1.
     """
-    if fanout < 1:
-        raise ConfigurationError(f"fanout must be at least 1, got {fanout}")
     if m.hash in node.known:
         return _NO_SENDS
     node.known.add(m.hash)

@@ -146,10 +146,9 @@ def select_relays(bucket: Bucket, beta: int, rng: Random) -> list[PeerEntry]:
     Each draw spends one ``rng.random()`` call: the unit draw is scaled
     by the total weight still in play and matched against the running
     weight sum in rank order. When ``beta`` covers the whole bucket the
-    entries are returned as-is and the rng is left untouched.
+    entries are returned as-is and the rng is left untouched. ``Engine``
+    rejects a ``beta`` below 1 before any draw.
     """
-    if beta < 1:
-        raise ConfigurationError(f"redundancy must be at least 1, got {beta}")
     entries = bucket.entries
     n = len(entries)
     if beta >= n:
@@ -175,8 +174,6 @@ def select_relays(bucket: Bucket, beta: int, rng: Random) -> list[PeerEntry]:
 
 def select_uniform(bucket: Bucket, beta: int, rng: Random) -> list[PeerEntry]:
     """Plain uniform draw of ``beta`` entries, for score-blind routing."""
-    if beta < 1:
-        raise ConfigurationError(f"redundancy must be at least 1, got {beta}")
     entries = bucket.entries
     if beta >= len(entries):
         return list(entries)

@@ -108,6 +108,33 @@ def test_scenario_disturbance_pairing_is_enforced():
         assert "disturbance" in str(err.value)
 
 
+def test_grid_keys_reject_repeated_entries(tmp_path, capsys):
+    # a repeated entry would run the same cell twice, with CSV rows that
+    # cannot be told apart
+    for field, repeated in (("betas", "1,1"), ("fanouts", "2,3,2"), ("variants", "ne,ne")):
+        with pytest.raises(ConfigurationError) as err:
+            build_config(scenario="coverage_offline", overrides={field: repeated})
+        assert field in str(err.value)
+    code = main(
+        [
+            "simulate",
+            "--scenario",
+            "latency",
+            "--set",
+            "network.n_nodes=16",
+            "--set",
+            "broadcast.betas=1,1",
+            "--set",
+            "experiment.variants=ne,ne",
+            "--out",
+            str(tmp_path / "x"),
+        ]
+    )
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_parse_set_overrides():
     flat = parse_set_overrides(["network.n_nodes=50", "seed=9", "broadcast.betas=1,2"])
     assert flat == {"n_nodes": "50", "seed": "9", "betas": "1,2"}
@@ -351,6 +378,38 @@ def test_cli_reports_unwritable_output(tmp_path, capsys):
     )
     assert code == 2
     assert "cannot write" in capsys.readouterr().err
+
+
+def test_cli_simulate_reports_truncation(tmp_path, capsys):
+    # 64 launches 50 ms apart run to 3.15 s, past a 2 s horizon
+    out_dir = tmp_path / "results"
+    code = main(
+        [
+            "simulate",
+            "--scenario",
+            "coverage_offline",
+            "--set",
+            "network.n_nodes=64",
+            "--set",
+            "broadcast.rounds_per_node=1",
+            "--set",
+            "broadcast.betas=1",
+            "--set",
+            "experiment.repeats=1",
+            "--set",
+            "experiment.disturbance=churn_periodic",
+            "--set",
+            "experiment.disturbance_period_s=1",
+            "--set",
+            "experiment.horizon_s=2",
+            "--out",
+            str(out_dir),
+        ]
+    )
+    assert code == 3
+    assert "hit the horizon" in capsys.readouterr().err
+    doc = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+    assert [cell["truncated"] for cell in doc["cells"]] == [True, True]
 
 
 def test_cli_audit_catches_config_errors(capsys):

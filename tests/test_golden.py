@@ -41,6 +41,12 @@ CASES = {
         "coverage_offline",
         {"disturbance": "churn_periodic", "disturbance_period_s": "1"},
     ),
+    # the launches run to 3.15 s, so a 2 s horizon cuts the runs short,
+    # some with sends still held for the disturbance at 3 s
+    "coverage_offline_truncated": (
+        "coverage_offline",
+        {"disturbance": "churn_periodic", "disturbance_period_s": "1", "horizon_s": "2"},
+    ),
 }
 
 

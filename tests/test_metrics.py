@@ -66,8 +66,8 @@ def test_tracker_counts_initiator_at_start():
     rec = tracker.recs[0]
     assert rec.complete
     assert latency(rec) == 0  # a single-node network finishes instantly
-    assert tracker.received_total() == 1
-    assert tracker.honest_received_total() == 1
+    assert rec.received_count == 1
+    assert rec.honest_received == 1
 
 
 def test_tracker_skipped_initiation_keeps_zero_record():
@@ -77,7 +77,7 @@ def test_tracker_skipped_initiation_keeps_zero_record():
     assert rec.received_count == 0
     assert rec.start_us == 40
     assert latency(rec) is None
-    assert tracker.received_total() == 0
+    assert len(tracker.recs) == 1
 
 
 def test_tracker_receive_flows_into_the_right_record():
@@ -167,9 +167,7 @@ def test_online_population_counts_the_initiator():
     assert rec.online_received == 1
     tracker.receive(7, 300, honest=True, node=0)
     assert rec.online_received == 2
-    assert tracker.online_population_total() == 2
-    assert tracker.online_received_total() == 2
-    assert online_unreceived_percent([2], [2]) == 0.0
+    assert online_unreceived_percent([rec.online_received], [rec.online_count]) == 0.0
 
 
 def test_online_population_ignores_a_node_back_mid_broadcast():
@@ -182,15 +180,13 @@ def test_online_population_ignores_a_node_back_mid_broadcast():
     assert rec.online_received == 1
     assert rec.online_count == 2
     # node 2 was online at the start and never got it: half unreceived
-    assert online_unreceived_percent(
-        [tracker.online_received_total()], [tracker.online_population_total()]
-    ) == 50.0
+    assert online_unreceived_percent([rec.online_received], [rec.online_count]) == 50.0
 
 
 def test_online_population_of_a_skipped_broadcast_is_empty():
     tracker = BroadcastTracker(n_nodes=4)
     tracker.initiate_skipped(7, initiator=1, t=0)
-    assert tracker.online_population_total() == 0
+    assert tracker.recs[0].online_count == 0
     assert online_unreceived_percent([0], [0]) is None
 
 
@@ -222,8 +218,10 @@ def test_online_receipts_stay_within_online_population_under_churn():
         disturbance="churn_periodic",
         disturbance_period_us=2_000_000,
     )
-    result = execute_run(spec)
-    assert 0 < result.online_population < len(result.rows) * spec.n_nodes
-    assert 0 < result.online_received_total <= result.online_population
+    recs = execute_run(spec).recs
+    population = sum(rec.online_count for rec in recs)
+    online_received = sum(rec.online_received for rec in recs)
+    assert 0 < population < len(recs) * spec.n_nodes
+    assert 0 < online_received <= population
     # returners pick up broadcasts that started while they were down
-    assert result.online_received_total < result.received_total
+    assert online_received < sum(rec.received_count for rec in recs)

@@ -60,7 +60,7 @@ def test_delay_matrix_is_symmetric_with_table_values():
     assert BANDWIDTH_CLASSES == (512_000, 256_000, 128_000, 64_000)
 
 
-def _link_engine(specs, payload: int = DATA_BYTES) -> Engine:
+def _link_engine(specs, payload: int = DATA_BYTES, disturb_rng: Random | None = None) -> Engine:
     """An engine over hand-placed nodes in a 2-bit id space.
 
     ``specs`` holds (id, region, upstream bps) per node. Every bucket
@@ -74,7 +74,7 @@ def _link_engine(specs, payload: int = DATA_BYTES) -> Engine:
         nodes.append(NodeState(node_id, table))
     profiles = [NodeNetProfile(region, bps) for _, region, bps in specs]
     config = NetworkConfig(len(specs), address_bits=2, bucket_capacity=1, data_msg_bytes=payload)
-    return Engine(nodes, profiles, config, Random(0), collect_log=True)
+    return Engine(nodes, profiles, config, Random(0), disturb_rng=disturb_rng, collect_log=True)
 
 
 def _send_times(engine: Engine) -> list[tuple[int, int]]:
@@ -122,6 +122,54 @@ def test_transmission_schedule_rounds_up():
     # 8 bits at 512 kbps is 15.625 μs, which must not round down
     assert _send_times(engine) == [(0, 16 + 10_000)]
     assert engine.profiles[0].busy_until == 16
+
+
+@pytest.mark.parametrize("seed,node0_survives", [(5, True), (0, False)], ids=["survives", "fails"])
+def test_held_sends_commit_rehold_or_lose_at_disturbances(seed, node0_survives):
+    # node 0 (id 0) queues two broadcasts of two 16 ms sends each; the
+    # second broadcast's sends would start at 32 ms and 48 ms, past the
+    # disturbances at 20 ms and 40 ms. Node 2 (id 1), the last serial,
+    # fails at every disturbance, and its second send would start at 21 ms.
+    # Both disturbance seeds take node 2 down at 20 ms and keep node 0 up
+    # then; seed 0 takes node 0 down at 40 ms, seed 5 does not.
+    engine = _link_engine(
+        [(0, 0, 64_000), (2, 0, 64_000), (1, 0, 64_000)], disturb_rng=Random(seed)
+    )
+    engine.push_disturbance(20_000)
+    engine.push_disturbance(40_000)
+    engine.push_initiate(0, 0)
+    engine.push_initiate(1000, 0)
+    engine.push_initiate(5000, 2)
+    engine.run()
+    sends = [
+        ("send", 0, 0, 2, 0, DATA_BYTES, False, 0, 26_000, 2),
+        ("send", 0, 0, 1, 0, DATA_BYTES, False, 16_000, 42_000, 1),
+        ("send", 5000, 1, 2, 2, DATA_BYTES, False, 5000, 31_000, 2),
+        # held at 20 ms, committed then: it starts before the next disturbance
+        ("send", 1000, 0, 2, 1, DATA_BYTES, False, 32_000, 58_000, 2),
+    ]
+    # node 2's held send is lost with its queue when it goes down
+    lost = [("queue_lost", 20_000, 1, 0, 2)]
+    # held at 20 ms and held again for 40 ms, where its sender's fate decides
+    if node0_survives:
+        sends.append(("send", 1000, 0, 1, 1, DATA_BYTES, False, 48_000, 74_000, 1))
+    else:
+        lost.append(("queue_lost", 40_000, 0, 1, 1))
+    assert [entry for entry in engine.log if entry[0] == "send"] == sends
+    assert [entry for entry in engine.log if entry[0] == "queue_lost"] == lost
+    assert engine.data_sends == len(sends)
+    assert engine.nodes[0].online == node0_survives and not engine.nodes[2].online
+    assert engine.disturbances == 2
+
+
+def test_engine_rejects_unknown_variant_and_bad_beta():
+    nodes, profiles, config = _network(4, seed=1)
+    for variant in ("baseline", "ne", "gossip"):
+        Engine(nodes, profiles, config, Random(1), variant=variant, beta=1)
+        with pytest.raises(ConfigurationError):
+            Engine(nodes, profiles, config, Random(1), variant=variant, beta=0)
+    with pytest.raises(ConfigurationError):
+        Engine(nodes, profiles, config, Random(1), variant="flood")
 
 
 def test_network_config_validation():
@@ -382,8 +430,8 @@ def _run_engine(
         profiles,
         config,
         stream(seed, "protocol", 0),
+        variant="ne" if ne else "baseline",
         beta=beta,
-        ne_enabled=ne,
         disturb_rng=stream(seed, "disturb", 0),
         collect_log=True,
     )
@@ -612,7 +660,7 @@ def test_gossip_transmissions_exceed_tree_cost():
     nodes, profiles = bootstrap_topology(config, stream(51, "topology", 0))
     for node in nodes:
         node.neighbors = [peer for peer in node.table.scores()]
-    engine = Engine(nodes, profiles, config, Random(9), gossip_fanout=2, collect_log=False)
+    engine = Engine(nodes, profiles, config, Random(9), variant="gossip", beta=2, collect_log=False)
     engine.push_initiate(0, 0)
     engine.run()
     assert engine.data_sends > 99

@@ -262,8 +262,6 @@ def test_gossip_initiate_and_fanout_cap():
 def test_gossip_initiate_validates():
     node = _node(0, peers=())
     node.neighbors = [1]
-    with pytest.raises(ConfigurationError):
-        gossip_initiate(node, DATA_BYTES, 0, random.Random(1), 9)
     gossip_initiate(node, DATA_BYTES, 1, random.Random(1), 9)
     with pytest.raises(ConfigurationError):
         gossip_initiate(node, DATA_BYTES, 1, random.Random(1), 9)
@@ -307,8 +305,8 @@ def test_ticket_votes_conserved_per_broadcast():
         profiles,
         config,
         stream(61, "protocol", 0),
+        variant="ne",
         beta=2,
-        ne_enabled=True,
         disturb_rng=stream(61, "disturb", 0),
         collect_log=True,
     )

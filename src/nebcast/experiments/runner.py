@@ -13,9 +13,12 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass
 
+from ..errors import ConfigurationError
 from ..metrics import BroadcastTracker, MessageRec, latency
 from ..netsim import Engine, NetworkConfig, assign_refusers, bootstrap_topology
 from ..seeding import stream
+
+DISTURBANCES = ("none", "churn_once", "churn_periodic", "refuse_half")
 
 
 @dataclass(frozen=True)
@@ -33,7 +36,7 @@ class RunSpec:
     bucket_capacity: int = 15
     data_msg_bytes: int = 128
     confirm_msg_bytes: int = 20
-    disturbance: str = "none"  # none | churn_once | churn_periodic | refuse_half
+    disturbance: str = "none"  # one of DISTURBANCES
     disturbance_period_us: int = 60_000_000
     refuse_withholds_confirms: bool = False
     horizon_us: int | None = None
@@ -41,6 +44,17 @@ class RunSpec:
     require_full_reach: bool = True
     collect_log: bool = False
     count_per_hash: bool = False
+
+    def __post_init__(self):
+        if self.disturbance not in DISTURBANCES:
+            raise ConfigurationError(
+                f"disturbance must be one of {DISTURBANCES}, got {self.disturbance!r}"
+            )
+        if self.disturbance == "churn_periodic" and self.disturbance_period_us < 1:
+            raise ConfigurationError(
+                f"churn_periodic needs a positive disturbance_period_us,"
+                f" got {self.disturbance_period_us}"
+            )
 
 
 @dataclass

@@ -21,6 +21,18 @@ bootstrap did (``fill_table``), blind to who is online. A send queued
 to start at or after the next disturbance waits on the heap as a
 ``HELD`` event at that disturbance's time, so the sender's fate is
 known before the send is committed.
+
+A delivery whose outcome is already fixed when it is sent is settled
+then and never enters the heap. That is the case when it lands before
+the next pending disturbance and no later than the horizon, and its
+target is either offline (a drop) or, not being the broadcast's
+source, already holds both the hash and the sender, so passive
+discovery has nothing to adopt (a duplicate; for gossip the hash is
+enough). This is exact: liveness changes only at disturbances, which
+pop before any delivery of the same time, and between disturbances
+``known`` sets and table membership only grow, so the copy would meet
+the same fate on arrival and change nothing. Each settled send still
+takes its sequence number, so every other event keeps its order.
 """
 
 from __future__ import annotations
@@ -271,6 +283,16 @@ class Engine:
     is lost with the queue if its sender went down (logged as
     ``queue_lost``), held again if it would start at or after the
     following disturbance, and committed as queued otherwise.
+
+    Committing settles a delivery whose outcome is already fixed (see
+    the module docstring) by counting it in ``dropped_offline`` or
+    ``duplicates`` at once. The tree protocols settle nothing at β = 1
+    while every node is online: the relay scopes then partition the id
+    space (see the ``protocol`` docstring), so data copies never
+    overlap, and the check costs one comparison per send. A collected log keeps every
+    delivery on the heap, so the log stays in time order. ``now`` ends
+    at the last event actually popped, which a settled delivery never
+    is.
     """
 
     def __init__(
@@ -301,6 +323,7 @@ class Engine:
         self.variant = variant
         self.beta = beta
         self.ne_enabled = variant == "ne"
+        self.gossip = variant == "gossip"
         self.refuse_withholds = refuse_withholds_confirms
         self.disturb_rng = disturb_rng
         self.tracker = tracker
@@ -321,6 +344,8 @@ class Engine:
         self.disturbances = 0
         # times of disturbances not yet fired, a min-heap
         self.disturb_times: list[int] = []
+        # deliveries landing before this time may be settled when sent
+        self.settle_before = -1
 
     def push_initiate(self, t: int, slot: int) -> None:
         """Schedule a broadcast for the node at ``initiate_order[slot % n]``.
@@ -347,8 +372,19 @@ class Engine:
         arrival: int,
         seq: int,
     ) -> None:
-        """Schedule one transmission's arrival, count it, and log it."""
-        heappush(self.heap, (arrival, seq, DELIVER, ti, sm))
+        """Schedule one transmission's arrival, or settle it; count it, and log it."""
+        if arrival < self.settle_before:
+            target = self.nodes[ti]
+            if not target.online:
+                self.dropped_offline += 1
+            elif sm.hash in target.known and (
+                self.gossip or (target.id != sm.source and sm.sender in target.table._entries)
+            ):
+                self.duplicates += 1
+            else:
+                heappush(self.heap, (arrival, seq, DELIVER, ti, sm))
+        else:
+            heappush(self.heap, (arrival, seq, DELIVER, ti, sm))
         if sm.is_confirmation:
             self.confirm_sends += 1
         else:
@@ -363,6 +399,16 @@ class Engine:
                 )
             )
 
+    def _settle_limit(self, next_disturb: int, horizon_us: int | None) -> int:
+        """The time before which a delivery may be settled when sent; -1 for none."""
+        if self.log is not None:
+            return -1
+        if self.beta == 1 and not self.gossip and all(node.online for node in self.nodes):
+            return -1
+        if horizon_us is not None and horizon_us < next_disturb:
+            return horizon_us + 1
+        return next_disturb
+
     def run(self, horizon_us: int | None = None) -> None:
         """Drain the heap, or stop (flag truncated) past the horizon."""
         heap = self.heap
@@ -375,7 +421,7 @@ class Engine:
         log = self.log
         beta = self.beta
         ne = self.ne_enabled
-        gossip = self.variant == "gossip"
+        gossip = self.gossip
         payload = self.config.data_msg_bytes
         confirm_size = self.config.confirm_msg_bytes
         withholds = self.refuse_withholds
@@ -385,6 +431,7 @@ class Engine:
         commit = self._commit
         next_disturb = dtimes[0] if dtimes else _NEVER
         online_mask = _online_mask(nodes)
+        self.settle_before = self._settle_limit(next_disturb, horizon_us)
 
         while heap:
             event = pop(heap)
@@ -467,6 +514,7 @@ class Engine:
                 apply_disturbance(nodes, self.disturb_rng, profiles, t, log)
                 online_mask = _online_mask(nodes)
                 next_disturb = dtimes[0] if dtimes else _NEVER
+                self.settle_before = self._settle_limit(next_disturb, horizon_us)
                 continue
 
             else:

@@ -18,6 +18,7 @@ from nebcast.experiments.config import (
     load_config_file,
     parse_set_overrides,
 )
+from nebcast.experiments.runner import DISTURBANCES, RunSpec
 from nebcast.experiments.scenarios import (
     CSV_HEADER,
     _bundle,
@@ -106,6 +107,26 @@ def test_scenario_disturbance_pairing_is_enforced():
         with pytest.raises(ConfigurationError) as err:
             build_config(scenario=scenario, overrides={"disturbance": disturbance})
         assert "disturbance" in str(err.value)
+
+
+def test_run_spec_rejects_unknown_disturbance_and_idle_period():
+    # the benchmark and the tests build RunSpecs directly, past
+    # ScenarioConfig.validate; a misspelled disturbance used to run
+    # fault-free, and a churn_periodic period below 1 μs would never
+    # advance the loop that schedules the disturbances (so no run here)
+    base = dict(n_nodes=16, variant="baseline", redundancy=1, rounds_per_node=1,
+                interval_us=50_000, seed=1)
+    with pytest.raises(ConfigurationError) as err:
+        RunSpec(**base, disturbance="churn_perodic")
+    assert "churn_perodic" in str(err.value)
+    for period in (0, -1):
+        with pytest.raises(ConfigurationError) as err:
+            RunSpec(**base, disturbance="churn_periodic", disturbance_period_us=period)
+        assert "disturbance_period_us" in str(err.value)
+    for disturbance in DISTURBANCES:
+        RunSpec(**base, disturbance=disturbance)
+    # only periodic churn reads the period
+    RunSpec(**base, disturbance="churn_once", disturbance_period_us=0)
 
 
 def test_grid_keys_reject_repeated_entries(tmp_path, capsys):

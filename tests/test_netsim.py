@@ -14,7 +14,9 @@ from random import Random
 
 import pytest
 
+from nebcast import netsim
 from nebcast.errors import ConfigurationError
+from nebcast.metrics import BroadcastTracker
 from nebcast.netsim import (
     BANDWIDTH_CLASSES,
     DELAY_US,
@@ -60,7 +62,12 @@ def test_delay_matrix_is_symmetric_with_table_values():
     assert BANDWIDTH_CLASSES == (512_000, 256_000, 128_000, 64_000)
 
 
-def _link_engine(specs, payload: int = DATA_BYTES, disturb_rng: Random | None = None) -> Engine:
+def _link_engine(
+    specs,
+    payload: int = DATA_BYTES,
+    disturb_rng: Random | None = None,
+    collect_log: bool = True,
+) -> Engine:
     """An engine over hand-placed nodes in a 2-bit id space.
 
     ``specs`` holds (id, region, upstream bps) per node. Every bucket
@@ -74,7 +81,9 @@ def _link_engine(specs, payload: int = DATA_BYTES, disturb_rng: Random | None = 
         nodes.append(NodeState(node_id, table))
     profiles = [NodeNetProfile(region, bps) for _, region, bps in specs]
     config = NetworkConfig(len(specs), address_bits=2, bucket_capacity=1, data_msg_bytes=payload)
-    return Engine(nodes, profiles, config, Random(0), disturb_rng=disturb_rng, collect_log=True)
+    return Engine(
+        nodes, profiles, config, Random(0), disturb_rng=disturb_rng, collect_log=collect_log
+    )
 
 
 def _send_times(engine: Engine) -> list[tuple[int, int]]:
@@ -160,6 +169,33 @@ def test_held_sends_commit_rehold_or_lose_at_disturbances(seed, node0_survives):
     assert engine.data_sends == len(sends)
     assert engine.nodes[0].online == node0_survives and not engine.nodes[2].online
     assert engine.disturbances == 2
+
+
+@pytest.mark.parametrize(
+    "disturb_at,received", [(12_000, True), (12_001, False)], ids=["lands-at", "lands-before"]
+)
+def test_copy_to_offline_node_settles_only_before_the_disturbance(disturb_at, received):
+    # node 0 sends to node 1 (id 2) at 0 and to node 2 (id 1) at 2 ms;
+    # both copies hold the 512 kbit/s upstream for 2 ms and take 10 ms
+    # to land. Node 1 is down until the disturbance, and disturbance
+    # seed 5 keeps node 0 up and brings node 1 back there; node 2, the
+    # last serial, goes down. Without a log a drop can be settled when
+    # sent, but only if it lands before the disturbance: the copy that
+    # lands exactly at it finds node 1 back online.
+    engine = _link_engine(
+        [(0, 0, 512_000), (2, 0, 512_000), (1, 0, 512_000)],
+        disturb_rng=Random(5),
+        collect_log=False,
+    )
+    engine.nodes[1].online = False
+    engine.nodes[1].table.clear()
+    engine.push_disturbance(disturb_at)
+    engine.push_initiate(0, 0)
+    engine.run()
+    assert [node.online for node in engine.nodes] == [True, True, False]
+    assert engine.accepted == int(received)
+    assert engine.dropped_offline == 2 - int(received)
+    assert (0 in engine.nodes[1].known) == received
 
 
 def test_engine_rejects_unknown_variant_and_bad_beta():
@@ -419,28 +455,109 @@ def _run_engine(
     broadcasts: int,
     interval_us: int = 2_000,
     beta: int = 1,
-    ne: bool = False,
+    variant: str = "baseline",
     churn_at: list[int] | None = None,
     capacity: int = 15,
+    collect_log: bool = True,
+    refuse: bool = False,
+    gaps: bool = False,
+    horizon_us: int | None = None,
 ):
+    """A bootstrapped engine run, drained or stopped at ``horizon_us``.
+
+    ``refuse`` makes half the nodes relay refusers. ``gaps`` drops the
+    last entry of every bucket after the bootstrap, so that passive
+    discovery has senders to adopt; a filled bucket is otherwise full
+    or holds its whole id range.
+    """
     config = _config(n, capacity=capacity)
     nodes, profiles = bootstrap_topology(config, stream(seed, "topology", 0))
+    if refuse:
+        assign_refusers(nodes, stream(seed, "refuse", 0))
+    if gaps:
+        for node in nodes:
+            kept = [entry.peer for bucket in node.table.buckets for entry in bucket.entries[:-1]]
+            node.table.clear()
+            for peer in kept:
+                node.table.insert_peer(peer)
+    if variant == "gossip":
+        for node in nodes:
+            node.neighbors = list(node.table.scores())
     engine = Engine(
         nodes,
         profiles,
         config,
         stream(seed, "protocol", 0),
-        variant="ne" if ne else "baseline",
+        variant=variant,
         beta=beta,
         disturb_rng=stream(seed, "disturb", 0),
-        collect_log=True,
+        tracker=BroadcastTracker(n),
+        collect_log=collect_log,
     )
     for t in churn_at or []:
         engine.push_disturbance(t)
     for j in range(broadcasts):
         engine.push_initiate(j * interval_us, j % n)
-    engine.run()
+    engine.run(horizon_us)
     return engine
+
+
+def _outcome(engine: Engine) -> tuple:
+    """Everything a run leaves behind except its log and clock."""
+    counters = (
+        engine.data_sends, engine.confirm_sends, engine.dropped_offline, engine.accepted,
+        engine.duplicates, engine.disturbances, engine.next_hash, engine.seq, engine.truncated,
+    )
+    recs = [
+        (rec.seq, rec.initiator, rec.received_count, rec.honest_received, rec.start_us,
+         rec.last_receive_us, rec.online_count, rec.online_received)
+        for rec in engine.tracker.recs
+    ]
+    nodes = [
+        (
+            node.online, sorted(node.known), sorted(node.tickets),
+            [[(e.peer, e.score, e.inserted_at) for e in b.entries] for b in node.table.buckets],
+        )
+        for node in engine.nodes
+    ]
+    return counters, recs, nodes
+
+
+_CHURN = [0, 60_000, 120_000, 180_000]
+
+SETTLE_CASES = {
+    "churn-baseline": dict(n=40, seed=23, broadcasts=120, beta=2, churn_at=_CHURN, gaps=True),
+    "churn-ne": dict(
+        n=40, seed=23, broadcasts=120, beta=2, variant="ne", churn_at=_CHURN, gaps=True
+    ),
+    "churn-once": dict(n=40, seed=29, broadcasts=90, churn_at=[0]),
+    "refuse-half": dict(n=40, seed=31, broadcasts=80, beta=3, refuse=True),
+    "fault-free": dict(n=40, seed=37, broadcasts=80, beta=3, variant="ne", gaps=True),
+    "gossip": dict(n=40, seed=41, broadcasts=40, beta=2, variant="gossip"),
+    "horizon": dict(n=40, seed=23, broadcasts=120, beta=2, churn_at=_CHURN, horizon_us=100_000),
+}
+
+
+@pytest.mark.parametrize("case", list(SETTLE_CASES))
+def test_settling_deliveries_when_sent_changes_no_outcome(case, monkeypatch):
+    # a collected log keeps every delivery on the heap; without one,
+    # decided drops and duplicates are settled when sent. Both runs must
+    # end in the same counters, records, known sets, tickets and tables.
+    kwargs = SETTLE_CASES[case]
+    queued = Counter()
+
+    def counting_push(heap, event):
+        if isinstance(event, tuple) and event[2] == DELIVER:
+            queued[id(heap)] += 1
+        heappush(heap, event)
+
+    monkeypatch.setattr(netsim, "heappush", counting_push)
+    logged = _run_engine(**kwargs)
+    settled = _run_engine(**kwargs, collect_log=False)
+    assert _outcome(settled) == _outcome(logged)
+    assert settled.truncated == ("horizon_us" in kwargs)
+    # the run without a log did settle some deliveries
+    assert queued[id(settled.heap)] < queued[id(logged.heap)]
 
 
 def test_empty_queue_runs_to_empty_log():
@@ -462,15 +579,15 @@ def test_single_broadcast_eight_nodes_delivers_exactly_once():
 
 
 def test_engine_replay_is_identical():
-    first = _run_engine(40, seed=31, broadcasts=80, beta=2, ne=True, churn_at=[0, 60_000])
-    second = _run_engine(40, seed=31, broadcasts=80, beta=2, ne=True, churn_at=[0, 60_000])
+    first = _run_engine(40, seed=31, broadcasts=80, beta=2, variant="ne", churn_at=[0, 60_000])
+    second = _run_engine(40, seed=31, broadcasts=80, beta=2, variant="ne", churn_at=[0, 60_000])
     assert first.log == second.log
     assert first.data_sends == second.data_sends
     assert first.confirm_sends == second.confirm_sends
 
 
 def test_send_log_obeys_link_model():
-    engine = _run_engine(24, seed=17, broadcasts=48, beta=2, ne=True)
+    engine = _run_engine(24, seed=17, broadcasts=48, beta=2, variant="ne")
     profiles = engine.profiles
     idx_of = engine.idx_of
     per_sender: dict[int, list[tuple[int, int]]] = {}
@@ -634,7 +751,7 @@ def test_subtree_scopes_deliver_exactly_once_from_every_source():
 
 
 def test_relay_field_never_rewritten_downstream():
-    engine = _run_engine(32, seed=47, broadcasts=64, beta=2, ne=True)
+    engine = _run_engine(32, seed=47, broadcasts=64, beta=2, variant="ne")
     source_of: dict[int, int] = {}
     for entry in engine.log:
         if entry[0] == "initiate":

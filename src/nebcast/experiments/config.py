@@ -17,8 +17,7 @@ from typing import get_args, get_origin, get_type_hints
 import yaml
 
 from ..errors import ConfigurationError
-from ..identity import check_width
-from ..routing import check_capacity
+from ..netsim import NetworkConfig
 
 # scenario -> the disturbances it runs under, its default first
 SCENARIO_DISTURBANCES: dict[str, tuple[str, ...]] = {
@@ -61,15 +60,11 @@ class ScenarioConfig:
             raise ConfigurationError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.n_nodes < 2:
             raise ConfigurationError(f"n_nodes must be at least 2, got {self.n_nodes}")
-        check_width(self.address_bits, "address_bits")
-        if self.n_nodes > (1 << self.address_bits):
-            raise ConfigurationError(
-                f"n_nodes={self.n_nodes} cannot fit address_bits={self.address_bits}"
-            )
-        check_capacity(self.bucket_capacity, "bucket_capacity")
-        for name in ("data_msg_bytes", "confirm_msg_bytes"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be nonnegative")
+        # the network sizes follow NetworkConfig's rules
+        NetworkConfig(
+            self.n_nodes, self.address_bits, self.bucket_capacity,
+            self.data_msg_bytes, self.confirm_msg_bytes,
+        )
         if not self.betas or any(b < 1 for b in self.betas):
             raise ConfigurationError(f"betas must be positive integers, got {self.betas}")
         if not self.fanouts or any(f < 1 for f in self.fanouts):

@@ -22,17 +22,22 @@ to start at or after the next disturbance waits on the heap as a
 ``HELD`` event at that disturbance's time, so the sender's fate is
 known before the send is committed.
 
-A delivery whose outcome is already fixed when it is sent is settled
-then and never enters the heap. That is the case when it lands before
-the next pending disturbance and no later than the horizon, and its
-target is either offline (a drop) or, not being the broadcast's
-source, already holds both the hash and the sender, so passive
-discovery has nothing to adopt (a duplicate; for gossip the hash is
-enough). This is exact: liveness changes only at disturbances, which
-pop before any delivery of the same time, and between disturbances
-``known`` sets and table membership only grow, so the copy would meet
-the same fate on arrival and change nothing. Each settled send still
-takes its sequence number, so every other event keeps its order.
+One rule decides a copy's fate, when it is sent and when it lands: it
+is dropped if its target is offline, a duplicate if the target already
+holds its hash, and new otherwise; only a new copy is a receipt. A
+duplicate changes nothing except at a tree broadcast's source, where a
+confirmation settles its ticket's vote. Tables never learn from
+traffic: ``fill_table`` leaves every bucket full or holding its whole
+id range, and nothing evicts, so there is no room to adopt a sender.
+
+A copy whose fate is fixed when it is sent is settled then and never
+enters the heap: it lands before the next pending disturbance and no
+later than the horizon, and is a drop, or a duplicate away from the
+broadcast's source (in gossip, anywhere). This is exact: liveness
+changes only at disturbances, which pop before any delivery of the
+same time, and between disturbances ``known`` sets only grow. Each
+settled send still takes its sequence number, so every other event
+keeps its order.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from random import Random
 from typing import Sequence
 
 from .errors import ConfigurationError
-from .identity import sample_ids
+from .identity import check_width, sample_ids
 from .metrics import BroadcastTracker
 from .protocol import (
     CONFIRM_BYTES,
@@ -56,7 +61,7 @@ from .protocol import (
     handle_message,
     initiate_broadcast,
 )
-from .routing import RoutingTable
+from .routing import RoutingTable, check_capacity
 
 # share of nodes per region, percent
 REGION_PROPORTIONS = (30, 10, 40, 20)
@@ -101,7 +106,7 @@ class NetworkConfig:
     """Static description of one simulated network.
 
     Regions, bandwidth classes and delays are the module constants
-    above; a run only sets the sizes.
+    above; a run only sets the sizes, and each error names its key.
     """
 
     n_nodes: int
@@ -112,11 +117,17 @@ class NetworkConfig:
 
     def __post_init__(self):
         if self.n_nodes < 1:
-            raise ConfigurationError(f"need at least one node, got {self.n_nodes}")
+            raise ConfigurationError(f"n_nodes must be at least 1, got {self.n_nodes}")
+        check_width(self.address_bits, "address_bits")
         if self.n_nodes > (1 << self.address_bits):
             raise ConfigurationError(
-                f"{self.n_nodes} nodes cannot get distinct {self.address_bits}-bit ids"
+                f"n_nodes={self.n_nodes} cannot get distinct ids of address_bits={self.address_bits}"
             )
+        check_capacity(self.bucket_capacity, "bucket_capacity")
+        # a negative size would free the upstream before the send started
+        for name in ("data_msg_bytes", "confirm_msg_bytes"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 def _weighted_index(proportions: Sequence[int], draw: float) -> int:
@@ -284,6 +295,9 @@ class Engine:
     ``queue_lost``), held again if it would start at or after the
     following disturbance, and committed as queued otherwise.
 
+    A popped duplicate skips the protocol, except at a tree broadcast's
+    source, where it passes through ``handle_message`` for its vote.
+
     Committing settles a delivery whose outcome is already fixed (see
     the module docstring) by counting it in ``dropped_offline`` or
     ``duplicates`` at once. The tree protocols settle nothing at β = 1
@@ -320,7 +334,6 @@ class Engine:
         self.profiles = profiles
         self.config = config
         self.rng = rng
-        self.variant = variant
         self.beta = beta
         self.ne_enabled = variant == "ne"
         self.gossip = variant == "gossip"
@@ -377,9 +390,7 @@ class Engine:
             target = self.nodes[ti]
             if not target.online:
                 self.dropped_offline += 1
-            elif sm.hash in target.known and (
-                self.gossip or (target.id != sm.source and sm.sender in target.table._entries)
-            ):
+            elif sm.hash in target.known and (self.gossip or target.id != sm.source):
                 self.duplicates += 1
             else:
                 heappush(self.heap, (arrival, seq, DELIVER, ti, sm))
@@ -453,29 +464,23 @@ class Engine:
                         log.append(("drop_offline", t, node.id, m.hash))
                     continue
                 h = m.hash
-                was_new = h not in node.known
-                if gossip:
-                    sends = gossip_handle(node, m, beta, rng)
-                else:
-                    sender = m.sender
-                    # passive discovery: adopt a live unknown sender if there is room
-                    if sender not in node.table._entries:
-                        if nodes[idx_of[sender]].online:
-                            node.table.insert_peer(sender, t)
-                    sends = handle_message(
-                        node, m, beta, ne, rng, t,
-                        confirm_size, withholds, log,
-                    )
-                if was_new and h in node.known:
-                    self.accepted += 1
-                    if tracker is not None:
-                        tracker.receive(h, t, not node.refuses_relay, di)
-                    if log is not None:
-                        log.append(("deliver", t, node.id, h, m.sender, True, m.is_confirmation))
-                else:
+                if h in node.known:
+                    if node.id == m.source and not gossip:
+                        # a confirmation settles its ticket's vote, once
+                        handle_message(node, m, beta, ne, rng, t, confirm_size, withholds, log)
                     self.duplicates += 1
                     if log is not None:
                         log.append(("deliver", t, node.id, h, m.sender, False, m.is_confirmation))
+                    continue
+                self.accepted += 1
+                if tracker is not None:
+                    tracker.receive(h, t, not node.refuses_relay, di)
+                if gossip:
+                    sends = gossip_handle(node, m, beta, rng)
+                else:
+                    sends = handle_message(node, m, beta, ne, rng, t, confirm_size, withholds, log)
+                if log is not None:
+                    log.append(("deliver", t, node.id, h, m.sender, True, m.is_confirmation))
 
             elif kind == INITIATE:
                 slot = event[3]

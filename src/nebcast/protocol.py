@@ -100,9 +100,6 @@ class NodeState:
         self.neighbors: list[int] = []
 
 
-_NO_SENDS: tuple = ()
-
-
 def initiate_broadcast(
     node: NodeState,
     payload_size: int,
@@ -154,21 +151,18 @@ def handle_message(
 ):
     """Process one delivered message and return the send intents it causes.
 
-    The steps run in a fixed order: vote settlement when the receiver
-    is the message's source, duplicate drop, scoring of the sender,
-    confirmation toward the source, refusal cut-off, and finally subtree
-    relaying into buckets deeper than the one shared with the sender.
+    The engine calls this only for a hash the receiver does not hold
+    yet, or at the message's source, which always holds it; any other
+    copy is a duplicate that the engine counts without calling here.
+    At the source the step is vote settlement. Elsewhere the steps run
+    in a fixed order: scoring of the sender, confirmation toward the
+    source, refusal cut-off, and finally subtree relaying into buckets
+    deeper than the one shared with the sender.
 
     Score events and consumed tickets are appended to ``events`` when a
-    list is supplied; the hot path skips that bookkeeping entirely. A
-    duplicate at a non-source node is recognized up front and returns
-    without touching anything, which is behaviorally identical to
-    running the full sequence.
+    list is supplied; the hot path skips that bookkeeping entirely.
     """
     h = m.hash
-    known = node.known
-    if h in known and node.id != m.source:
-        return _NO_SENDS
     table = node.table
     if node.id == m.source:
         # only confirmations come back to the source for a hash it owns;
@@ -176,14 +170,14 @@ def handle_message(
         ticket = (h, m.sender)
         if ticket in node.tickets:
             node.tickets.discard(ticket)
-            table.add_score(m.sender, 1)
-            table.add_score(m.relay, 1)
+            table.add_score(m.sender)
+            table.add_score(m.relay)
             if events is not None:
                 events.append(("score", now, node.id, m.sender, SCORE_PROBE_VOTE, h))
                 events.append(("score", now, node.id, m.relay, SCORE_RELAY_VOTE, h))
-        return _NO_SENDS
-    table.add_score(m.sender, 1)
-    known.add(h)
+        return ()
+    table.add_score(m.sender)
+    node.known.add(h)
     if events is not None:
         events.append(("score", now, node.id, m.sender, SCORE_NEW_SENDER, h))
     sends: list[tuple[int, Message]] = []
@@ -236,13 +230,13 @@ def gossip_handle(
     fanout: int,
     rng: Random,
 ) -> list[tuple[int, Message]]:
-    """Gossip reception: forward a new hash to random neighbors, drop duplicates.
+    """Gossip reception: record a new hash and forward it to random neighbors.
 
-    The sender is excluded from the candidate set, so the effective
-    fanout is capped at degree - 1.
+    The engine calls this only for a hash the receiver does not hold
+    yet and counts every other copy as a duplicate. The sender is
+    excluded from the candidate set, so the effective fanout is capped
+    at degree - 1.
     """
-    if m.hash in node.known:
-        return _NO_SENDS
     node.known.add(m.hash)
     candidates = [peer for peer in node.neighbors if peer != m.sender]
     if fanout < len(candidates):

@@ -110,17 +110,12 @@ class RoutingTable:
         self._entries[peer] = entry
         return True
 
-    def add_score(self, peer: int, amount: int = 1) -> int:
-        """Credit a peer and restore rank order; unknown peers are ignored.
-
-        Returns the peer's score after the update (0 if untracked).
-        """
+    def add_score(self, peer: int) -> None:
+        """Credit a peer with one point and restore rank order; unknown peers are ignored."""
         entry = self._entries.get(peer)
         if entry is None:
-            return 0
-        if amount < 0:
-            raise ConfigurationError("scores only accumulate; negative credit is not defined")
-        entry.score += amount
+            return
+        entry.score += 1
         entries = self.buckets[self.width - (self.owner ^ peer).bit_length()].entries
         i = entries.index(entry)
         while i > 0:
@@ -132,7 +127,6 @@ class RoutingTable:
                 i -= 1
             else:
                 break
-        return entry.score
 
     def clear(self) -> None:
         for bucket in self.buckets:

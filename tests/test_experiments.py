@@ -79,7 +79,10 @@ def test_build_config_requires_scenario():
 def test_config_validation_messages_name_the_field():
     cases = {
         "n_nodes": "1",
+        "address_bits": "0",
         "bucket_capacity": "6",
+        "data_msg_bytes": "-1",
+        "confirm_msg_bytes": "-1",
         "betas": "0,1",
         "interval_ms": "0",
         "repeats": "0",

@@ -1,13 +1,16 @@
-"""Golden pin: SHA-256 digests of the emitted files for fixed small configs.
+"""Golden pin: SHA-256 digests of fixed small runs.
 
-Every case runs at N=64 with one round per node and seed 1, and its
-``summary.json`` and ``broadcasts.csv`` must hash to the digests in
-``tests/golden/digests.json``. A change that alters how random numbers
-are consumed changes these digests on purpose and re-pins them in the
-same change, saying why; any other digest change is a bug.
+Every output case runs at N=64 with one round per node and seed 1, and
+its ``summary.json`` and ``broadcasts.csv`` must hash to the digests in
+``tests/golden/digests.json``. Those files hold no engine counters, so
+each run case (N=48, one per variant and disturbance) also pins the
+digest of its counters, per-hash sends and tracker records in
+``tests/golden/run_digests.json``. A change that alters how random
+numbers are consumed changes these digests on purpose and re-pins them
+in the same change, saying why; any other digest change is a bug.
 
-To print the digests of the current code as JSON (to re-pin after a
-deliberate change of the draws):
+To print the digests of the current code as JSON, keyed by the file
+that pins them (to re-pin after a deliberate change of the draws):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -23,9 +26,11 @@ from pathlib import Path
 import pytest
 
 from nebcast.experiments.config import SCENARIO_DISTURBANCES, build_config
+from nebcast.experiments.runner import DISTURBANCES, RunSpec, execute_run
 from nebcast.experiments.scenarios import emit_results, run_scenario
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
+RUN_DIGESTS = Path(__file__).parent / "golden" / "run_digests.json"
 
 BASE = {"n_nodes": "64", "rounds_per_node": "1", "seed": "1"}
 
@@ -57,14 +62,59 @@ def case_digests(name: str, out_dir: Path) -> dict[str, str]:
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
 
 
+# 96 launches 50 ms apart at β=2; churn_periodic disturbs once a second
+RUN_CASES = {
+    f"{variant}-{disturbance}": RunSpec(
+        n_nodes=48,
+        variant=variant,
+        redundancy=2,
+        rounds_per_node=2,
+        interval_us=50_000,
+        seed=1,
+        disturbance=disturbance,
+        disturbance_period_us=1_000_000,
+        count_per_hash=True,
+    )
+    for variant in ("baseline", "ne", "gossip")
+    for disturbance in DISTURBANCES
+}
+
+
+def run_digest(name: str) -> str:
+    """Digest of one run's counters, per-hash data sends and tracker records."""
+    result = execute_run(RUN_CASES[name])
+    body = {
+        "counters": [
+            result.honest_nodes, result.data_sends, result.confirm_sends,
+            result.dropped_offline, result.duplicates, result.truncated,
+        ],
+        "per_hash_sends": sorted(result.per_hash_sends.items()),
+        "recs": [
+            [
+                rec.seq, rec.initiator, rec.received_count, rec.honest_received,
+                rec.start_us, rec.last_receive_us, rec.online_at_start, rec.online_received,
+            ]
+            for rec in result.recs
+        ],
+    }
+    return hashlib.sha256(json.dumps(body).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_golden_digests(name, tmp_path):
     pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
     assert case_digests(name, tmp_path) == pinned[name]
 
 
+@pytest.mark.parametrize("name", sorted(RUN_CASES))
+def test_run_counters_match_golden_digests(name):
+    pinned = json.loads(RUN_DIGESTS.read_text(encoding="utf-8"))
+    assert run_digest(name) == pinned[name]
+
+
 def test_golden_cases_are_all_pinned():
     assert sorted(json.loads(DIGESTS.read_text(encoding="utf-8"))) == sorted(CASES)
+    assert sorted(json.loads(RUN_DIGESTS.read_text(encoding="utf-8"))) == sorted(RUN_CASES)
 
 
 def test_every_scenario_and_disturbance_has_a_golden_case():
@@ -80,5 +130,6 @@ def test_every_scenario_and_disturbance_has_a_golden_case():
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = {name: case_digests(name, Path(tmp) / name) for name in sorted(CASES)}
-    json.dump(digests, sys.stdout, indent=2, sort_keys=True)
+    runs = {name: run_digest(name) for name in sorted(RUN_CASES)}
+    json.dump({DIGESTS.name: digests, RUN_DIGESTS.name: runs}, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")

@@ -16,6 +16,7 @@ import pytest
 
 from nebcast import netsim
 from nebcast.errors import ConfigurationError
+from nebcast.experiments.runner import RunSpec, execute_run
 from nebcast.metrics import BroadcastTracker
 from nebcast.netsim import (
     BANDWIDTH_CLASSES,
@@ -33,7 +34,7 @@ from nebcast.netsim import (
     fully_reachable,
 )
 from nebcast.identity import sample_ids
-from nebcast.protocol import DATA_BYTES, Message, NodeState
+from nebcast.protocol import DATA_BYTES, NodeState
 from nebcast.routing import RoutingTable
 from nebcast.seeding import stream
 
@@ -210,10 +211,32 @@ def test_engine_rejects_unknown_variant_and_bad_beta():
 
 def test_network_config_validation():
     _config(1)
-    with pytest.raises(ConfigurationError):
-        NetworkConfig(0)
-    with pytest.raises(ConfigurationError):
-        NetworkConfig(17, address_bits=4)
+    NetworkConfig(16, address_bits=4, bucket_capacity=1, data_msg_bytes=0, confirm_msg_bytes=0)
+    bad = {
+        "n_nodes": dict(n_nodes=0),
+        "address_bits": dict(n_nodes=17, address_bits=4),
+        "bucket_capacity": dict(n_nodes=4, bucket_capacity=6),
+        "data_msg_bytes": dict(n_nodes=4, data_msg_bytes=-1),
+        "confirm_msg_bytes": dict(n_nodes=4, confirm_msg_bytes=-20),
+    }
+    for key, kwargs in bad.items():
+        with pytest.raises(ConfigurationError) as err:
+            NetworkConfig(**kwargs)
+        assert key in str(err.value)
+
+
+def test_negative_message_size_fails_before_the_run():
+    # a negative size frees the upstream before the send starts, so
+    # copies would arrive before they are sent; execute_run builds a
+    # NetworkConfig from the RunSpec, which must reject it
+    for key in ("data_msg_bytes", "confirm_msg_bytes"):
+        spec = RunSpec(
+            n_nodes=16, variant="ne", redundancy=2, rounds_per_node=1,
+            interval_us=50_000, seed=1, **{key: -4000},
+        )
+        with pytest.raises(ConfigurationError) as err:
+            execute_run(spec)
+        assert key in str(err.value)
 
 
 def _assert_filled(table: RoutingTable, all_ids: list[int], capacity: int) -> None:
@@ -437,7 +460,9 @@ def test_churn_clears_casualties_and_rebootstraps_returners():
 
 def test_churn_survivors_keep_their_tables():
     nodes, profiles, _ = _network(30, seed=12)
-    nodes[0].table.add_score(next(iter(nodes[0].table.scores())), 5)
+    peer = next(iter(nodes[0].table.scores()))
+    for _ in range(5):
+        nodes[0].table.add_score(peer)
     before = nodes[0].table.scores()
     # serial 1 fails with probability 1/30; find an rng that spares it
     for seed in range(20):
@@ -466,9 +491,9 @@ def _run_engine(
     """A bootstrapped engine run, drained or stopped at ``horizon_us``.
 
     ``refuse`` makes half the nodes relay refusers. ``gaps`` drops the
-    last entry of every bucket after the bootstrap, so that passive
-    discovery has senders to adopt; a filled bucket is otherwise full
-    or holds its whole id range.
+    last entry of every bucket after the bootstrap, so that some
+    senders are missing from their targets' tables; a filled bucket is
+    otherwise full or holds its whole id range.
     """
     config = _config(n, capacity=capacity)
     nodes, profiles = bootstrap_topology(config, stream(seed, "topology", 0))
@@ -543,6 +568,9 @@ def test_settling_deliveries_when_sent_changes_no_outcome(case, monkeypatch):
     # a collected log keeps every delivery on the heap; without one,
     # decided drops and duplicates are settled when sent. Both runs must
     # end in the same counters, records, known sets, tickets and tables.
+    # The gaps leave senders missing from their targets' tables, so a
+    # duplicate from an unknown sender is settled as well: the rule asks
+    # only whether the target holds the hash.
     kwargs = SETTLE_CASES[case]
     queued = Counter()
 
@@ -714,20 +742,34 @@ def test_horizon_truncates_and_flags():
     assert engine.heap
 
 
-def test_passive_discovery_adopts_live_sender():
-    nodes, profiles, config = _network(8, seed=39)
-    a, b = nodes[0], nodes[1]
-    a.table.clear()
-    for other in nodes[2:]:
-        a.table.insert_peer(other.id)
-    engine = Engine(nodes, profiles, config, Random(7), collect_log=True)
-    m = Message(500, DATA_BYTES, b.id, b.id, b.id)
-    b.known.add(500)
-    heappush(engine.heap, (0, engine.seq, DELIVER, 0, m))
-    engine.seq += 1
-    engine.run()
-    assert b.id in a.table
-    assert a.table.entry_for(b.id).score == 1  # adopted, then credited as sender
+def test_engine_keeps_every_online_bucket_saturated_under_churn(monkeypatch):
+    # every online node's bucket holds min(capacity, ids in its range)
+    # entries after the bootstrap, around each disturbance and at the
+    # end, so there is never room to adopt a sender learned from traffic
+    def check(nodes):
+        ids = [node.id for node in nodes]
+        for node in nodes:
+            if node.online:
+                _assert_filled(node.table, ids, 15)
+
+    checked = []
+
+    def checked_disturbance(nodes, *args, **kwargs):
+        check(nodes)
+        apply_disturbance(nodes, *args, **kwargs)
+        check(nodes)
+        checked.append(sum(not node.online for node in nodes))
+
+    monkeypatch.setattr(netsim, "apply_disturbance", checked_disturbance)
+    for variant in ("baseline", "ne"):
+        checked.clear()
+        engine = _run_engine(
+            40, seed=23, broadcasts=120, beta=2, variant=variant, churn_at=_CHURN,
+            collect_log=False,
+        )
+        check(engine.nodes)
+        assert len(checked) == len(_CHURN) and all(checked)
+        assert engine.accepted > 0
 
 
 def test_subtree_scopes_deliver_exactly_once_from_every_source():

@@ -8,10 +8,12 @@ is hand-derivable from the bucket layout alone.
 from __future__ import annotations
 
 import random
+from heapq import heappush
 
 import pytest
 
 from nebcast.errors import ConfigurationError
+from nebcast.netsim import DELIVER, Engine, NetworkConfig, NodeNetProfile
 from nebcast.protocol import (
     CONFIRM_BYTES,
     DATA_BYTES,
@@ -51,7 +53,7 @@ def test_initiate_one_relay_per_bucket_and_tickets_for_the_rest():
     # Scoring 3 promotes it over 2, so a rank-0 draw selects 4, 3, 1
     # and leaves 6 and 2 as probes.
     node = _node(0, peers=(1, 2, 3, 4, 6))
-    node.table.add_score(3, 1)
+    node.table.add_score(3)
     events: list = []
     sends = initiate_broadcast(node, DATA_BYTES, 1, True, _RankZeroRng(), 0, 900, events)
     assert [dest for dest, _ in sends] == [4, 3, 1]
@@ -128,16 +130,6 @@ def test_handle_scores_sender_even_when_sender_unknown():
     # sender is not in the table; scoring is a no-op, delivery still counts
     assert node.known == {7}
     assert node.table.scores() == {1: 0}
-
-
-def test_handle_duplicate_is_inert():
-    node = _node(0, peers=(1, 2, 3))
-    m = _data(7, source=4, relay=4, sender=4)
-    handle_message(node, m, 1, False, random.Random(3), 0)
-    before = node.table.scores()
-    again = _data(7, source=4, relay=4, sender=2)
-    assert handle_message(node, again, 1, False, random.Random(3), 0) == ()
-    assert node.table.scores() == before
 
 
 def test_handle_emits_confirmation_when_source_is_reachable_neighbor():
@@ -219,7 +211,7 @@ def test_vote_settlement_first_confirmation_per_probe_wins():
     # leaving 5 and 2 as probes. Both probes then report that node 3's
     # branch reached them first, so 3 banks both relay votes.
     source = _node(1, peers=(2, 3, 4, 5))
-    source.table.add_score(3, 1)
+    source.table.add_score(3)
     sends = initiate_broadcast(source, DATA_BYTES, 1, True, _RankZeroRng(), 0, 7)
     assert sorted(dest for dest, _ in sends) == [3, 4]
     assert source.tickets == {Ticket(7, 5), Ticket(7, 2)}
@@ -267,7 +259,7 @@ def test_gossip_initiate_validates():
         gossip_initiate(node, DATA_BYTES, 1, random.Random(1), 9)
 
 
-def test_gossip_handle_excludes_sender_and_drops_duplicates():
+def test_gossip_handle_excludes_sender():
     node = _node(5, peers=())
     node.neighbors = [1, 2, 3]
     m = _data(9, source=1, relay=1, sender=1)
@@ -275,7 +267,7 @@ def test_gossip_handle_excludes_sender_and_drops_duplicates():
     assert {dest for dest, _ in sends} == {2, 3}  # flooding limit skips the sender
     for _, fm in sends:
         assert fm.sender == 5
-    assert gossip_handle(node, m, 10, random.Random(2)) == ()
+    assert node.known == {9}
 
 
 def test_gossip_handle_respects_fanout():
@@ -290,11 +282,79 @@ def test_gossip_handle_respects_fanout():
         assert 6 not in dests
 
 
+def _engine(nodes: list[NodeState], variant: str) -> Engine:
+    """A logging engine over hand-built nodes of the 3-bit space, β = 1."""
+    profiles = [NodeNetProfile(0, 512_000) for _ in nodes]
+    config = NetworkConfig(len(nodes), address_bits=3, bucket_capacity=7)
+    return Engine(nodes, profiles, config, random.Random(3), variant=variant, collect_log=True)
+
+
+def _deliver(engine: Engine, index: int, m: Message, t: int) -> None:
+    """Deliver ``m`` to node ``index`` at ``t`` and drain the engine."""
+    heappush(engine.heap, (t, engine.seq, DELIVER, index, m))
+    engine.seq += 1
+    engine.run()
+
+
+def _engine_state(engine: Engine) -> tuple:
+    """Every trace a delivery can leave except the duplicate count and the deliver entries."""
+    return (
+        engine.accepted, engine.data_sends, engine.confirm_sends, engine.dropped_offline,
+        [(sorted(node.known), node.table.scores(), set(node.tickets)) for node in engine.nodes],
+        [entry for entry in engine.log if entry[0] != "deliver"],
+    )
+
+
+def test_engine_counts_a_repeated_copy_as_an_inert_duplicate():
+    # node 0 hears hash 7 from its source, node 4 (bucket 0), and passes
+    # it on to node 1 (bucket 2), which is offline; the same copy then
+    # arrives again and must change nothing but the duplicate count
+    for variant in ("ne", "gossip"):
+        nodes = [_node(0, peers=(1, 4)), _node(1, peers=(0, 4)), _node(4, peers=(0, 1))]
+        for node in nodes:
+            node.neighbors = list(node.table.scores())
+        nodes[1].online = False
+        nodes[2].known.add(7)
+        engine = _engine(nodes, variant)
+        m = _data(7, source=4, relay=4, sender=4)
+        _deliver(engine, 0, m, 0)
+        first = _engine_state(engine)
+        assert engine.data_sends == engine.dropped_offline == 1
+        _deliver(engine, 0, m, 100_000)
+        assert _engine_state(engine) == first
+        assert (engine.accepted, engine.duplicates) == (1, 1), variant
+        delivers = [entry for entry in engine.log if entry[0] == "deliver"]
+        assert [entry[5] for entry in delivers] == [True, False]
+        if variant == "ne":
+            assert nodes[0].table.scores() == {1: 0, 4: 1}
+
+
+def test_engine_settles_a_repeated_confirmation_once_at_the_source():
+    # the source always holds its hash, so every copy that reaches it is
+    # a duplicate; a confirmation still passes through handle_message to
+    # settle its ticket's vote, and its repeat finds the ticket gone
+    nodes = [_node(1, peers=(2, 4, 5)), _node(2), _node(4), _node(5)]
+    source = nodes[0]
+    source.known.add(7)
+    source.tickets.add(Ticket(7, 4))
+    engine = _engine(nodes, "ne")
+    confirm = Message(7, CONFIRM_BYTES, 1, 2, 4, is_confirmation=True)
+    _deliver(engine, 0, confirm, 0)
+    _deliver(engine, 0, confirm, 100_000)
+    assert source.table.scores() == {2: 1, 4: 1, 5: 0}
+    assert source.tickets == set()
+    assert (engine.accepted, engine.duplicates) == (0, 2)
+    # the vote's score entries precede the deliver entry of its copy
+    assert [(entry[0], entry[1]) for entry in engine.log] == [
+        ("score", 0), ("score", 0), ("deliver", 0), ("deliver", 100_000)
+    ]
+
+
 def test_ticket_votes_conserved_per_broadcast():
     # end-to-end audit of the one-vote-per-ticket rule: run a full
     # evaluation-enabled simulation and group the logged score events
     # by broadcast
-    from nebcast.netsim import Engine, NetworkConfig, bootstrap_topology
+    from nebcast.netsim import bootstrap_topology
     from nebcast.protocol import SCORE_PROBE_VOTE, SCORE_RELAY_VOTE
     from nebcast.seeding import stream
 

@@ -115,7 +115,8 @@ def test_remove_and_reinsert_drops_score():
     table = RoutingTable(owner=0, width=4, capacity=3)
     table.insert_peer(8, now=0)
     table.insert_peer(4, now=1)
-    table.add_score(8, 5)
+    for _ in range(5):
+        table.add_score(8)
     assert table.entry_for(8).score == 5
     table.clear()
     assert 8 not in table and len(table) == 0
@@ -127,16 +128,9 @@ def test_remove_and_reinsert_drops_score():
 
 def test_add_score_unknown_peer_is_ignored():
     table = RoutingTable(owner=0, width=4, capacity=3)
-    assert table.add_score(8) == 0
-    assert table.add_score(8, 3) == 0
+    table.add_score(8)
     assert 8 not in table
-
-
-def test_add_score_rejects_negative():
-    table = RoutingTable(owner=0, width=4, capacity=3)
-    table.insert_peer(8)
-    with pytest.raises(ConfigurationError):
-        table.add_score(8, -1)
+    assert table.scores() == {}
 
 
 def test_bucket_order_invariant_under_random_operations():
@@ -154,7 +148,8 @@ def test_bucket_order_invariant_under_random_operations():
                 table.insert_peer(peer, now=now)
                 now += 1
             elif action < 0.99:
-                table.add_score(peer, rng.randrange(1, 4))
+                for _ in range(rng.randrange(1, 4)):
+                    table.add_score(peer)
             else:
                 table.clear()
             for bucket in table.buckets:
@@ -166,7 +161,8 @@ def test_scores_snapshot_tracks_entries():
     table = RoutingTable(owner=0, width=4, capacity=7)
     table.insert_peer(8)
     table.insert_peer(4)
-    table.add_score(8, 2)
+    table.add_score(8)
+    table.add_score(8)
     assert table.scores() == {8: 2, 4: 0}
 
 

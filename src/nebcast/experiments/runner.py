@@ -46,6 +46,17 @@ class RunSpec:
     count_per_hash: bool = False
 
     def __post_init__(self):
+        for name in ("rounds_per_node", "interval_us"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.total_broadcasts is not None and self.total_broadcasts < 1:
+            raise ConfigurationError(
+                f"total_broadcasts must be at least 1 when set, got {self.total_broadcasts}"
+            )
+        if self.horizon_us is not None and self.horizon_us < 0:
+            raise ConfigurationError(
+                f"horizon_us must be nonnegative when set, got {self.horizon_us}"
+            )
         if self.disturbance not in DISTURBANCES:
             raise ConfigurationError(
                 f"disturbance must be one of {DISTURBANCES}, got {self.disturbance!r}"

@@ -35,9 +35,20 @@ enters the heap: it lands before the next pending disturbance and no
 later than the horizon, and is a drop, or a duplicate away from the
 broadcast's source (in gossip, anywhere). This is exact: liveness
 changes only at disturbances, which pop before any delivery of the
-same time, and between disturbances ``known`` sets only grow. Each
-settled send still takes its sequence number, so every other event
-keeps its order.
+same time, and while a copy of a hash is on the heap the set of nodes
+holding that hash only grows between disturbances. Each settled send
+still takes its sequence number, so every other event keeps its order.
+
+Per-node state lasts only while its broadcast is in flight. The engine
+counts each hash's copies on the heap (deliveries and held sends); when
+an event of hash h has been handled, its own sends committed, and no
+copy of h is left, h is retired: every node forgets it, and the
+initiator drops its unsettled tickets for it, counted in
+``tickets_orphaned``. This is exact too: a copy of h is created only
+when h is initiated or a copy of it is handled, ``known`` and tickets
+are read only when a copy lands, and a settled copy never reaches the
+heap. So after a run drains, every ``known`` and ticket set is empty;
+a run cut at the horizon keeps exactly the hashes still in flight.
 """
 
 from __future__ import annotations
@@ -307,6 +318,15 @@ class Engine:
     delivery on the heap, so the log stays in time order. ``now`` ends
     at the last event actually popped, which a settled delivery never
     is.
+
+    ``copies`` maps each live hash to its deliveries and held sends on
+    the heap: +1 per push, -1 per pop, unchanged when a held send is
+    held again. Once an event of hash h is handled and its sends are
+    committed (at once, for a broadcast that sent nothing), a count of
+    zero retires h (see the module docstring): it leaves ``copies`` and
+    every ``known`` set, and the initiator's remaining tickets for it
+    are dropped and counted in ``tickets_orphaned``. A casualty's
+    tickets are cleared by its disturbance instead and not counted.
     """
 
     def __init__(
@@ -359,6 +379,9 @@ class Engine:
         self.disturb_times: list[int] = []
         # deliveries landing before this time may be settled when sent
         self.settle_before = -1
+        # live hash -> its DELIVER and HELD events on the heap
+        self.copies: dict[int, int] = {}
+        self.tickets_orphaned = 0
 
     def push_initiate(self, t: int, slot: int) -> None:
         """Schedule a broadcast for the node at ``initiate_order[slot % n]``.
@@ -394,8 +417,10 @@ class Engine:
                 self.duplicates += 1
             else:
                 heappush(self.heap, (arrival, seq, DELIVER, ti, sm))
+                self.copies[sm.hash] += 1
         else:
             heappush(self.heap, (arrival, seq, DELIVER, ti, sm))
+            self.copies[sm.hash] += 1
         if sm.is_confirmation:
             self.confirm_sends += 1
         else:
@@ -409,6 +434,17 @@ class Engine:
                     sm.size, sm.is_confirmation, start, arrival, sm.relay,
                 )
             )
+
+    def _retire(self, h: int, source_id: int) -> None:
+        """Forget hash ``h``, whose last copy has landed, at every node."""
+        del self.copies[h]
+        for node in self.nodes:
+            node.known.discard(h)
+        tickets = self.nodes[self.idx_of[source_id]].tickets
+        if tickets:
+            stale = [ticket for ticket in tickets if ticket[0] == h]
+            tickets.difference_update(stale)
+            self.tickets_orphaned += len(stale)
 
     def _settle_limit(self, next_disturb: int, horizon_us: int | None) -> int:
         """The time before which a delivery may be settled when sent; -1 for none."""
@@ -440,6 +476,7 @@ class Engine:
         pop = heappop
         push = heappush
         commit = self._commit
+        copies = self.copies
         next_disturb = dtimes[0] if dtimes else _NEVER
         online_mask = _online_mask(nodes)
         self.settle_before = self._settle_limit(next_disturb, horizon_us)
@@ -457,30 +494,33 @@ class Engine:
             if kind == DELIVER:
                 di = event[3]
                 m = event[4]
+                h = m.hash
+                copies[h] -= 1
+                source = m.source
                 node = nodes[di]
                 if not node.online:
                     self.dropped_offline += 1
                     if log is not None:
-                        log.append(("drop_offline", t, node.id, m.hash))
-                    continue
-                h = m.hash
-                if h in node.known:
-                    if node.id == m.source and not gossip:
+                        log.append(("drop_offline", t, node.id, h))
+                    sends = ()
+                elif h in node.known:
+                    if node.id == source and not gossip:
                         # a confirmation settles its ticket's vote, once
                         handle_message(node, m, beta, ne, rng, t, confirm_size, withholds, log)
                     self.duplicates += 1
                     if log is not None:
                         log.append(("deliver", t, node.id, h, m.sender, False, m.is_confirmation))
-                    continue
-                self.accepted += 1
-                if tracker is not None:
-                    tracker.receive(h, t, not node.refuses_relay, di)
-                if gossip:
-                    sends = gossip_handle(node, m, beta, rng)
+                    sends = ()
                 else:
-                    sends = handle_message(node, m, beta, ne, rng, t, confirm_size, withholds, log)
-                if log is not None:
-                    log.append(("deliver", t, node.id, h, m.sender, True, m.is_confirmation))
+                    self.accepted += 1
+                    if tracker is not None:
+                        tracker.receive(h, t, not node.refuses_relay, di)
+                    if gossip:
+                        sends = gossip_handle(node, m, beta, rng)
+                    else:
+                        sends = handle_message(node, m, beta, ne, rng, t, confirm_size, withholds, log)
+                    if log is not None:
+                        log.append(("deliver", t, node.id, h, m.sender, True, m.is_confirmation))
 
             elif kind == INITIATE:
                 slot = event[3]
@@ -502,6 +542,8 @@ class Engine:
                         log.append(("initiate_skipped", t, nodes[scheduled].id, h))
                     continue
                 node = nodes[di]
+                source = node.id
+                copies[h] = 0
                 if tracker is not None:
                     tracker.initiate(h, di, t, not node.refuses_relay, online_mask)
                 if log is not None:
@@ -531,31 +573,38 @@ class Engine:
                         log.append(("queue_lost", t, sender.id, nodes[ti].id, sm.hash))
                 elif start >= next_disturb:
                     push(heap, (next_disturb, *event[1:]))
+                    continue
                 else:
                     commit(sender, ti, sm, queued_at, start, arrival, hseq)
+                h = sm.hash
+                copies[h] -= 1
+                if not copies[h]:
+                    self._retire(h, sm.source)
                 continue
 
-            if not sends:
-                continue
-            # the link model: each send starts when the sender's upstream
-            # frees, holds it for ceil(bits / bps) μs, and lands after the
-            # delay between the two regions
-            prof = profiles[di]
-            bps = prof.upstream_bps
-            busy = prof.busy_until
-            if busy < t:
-                busy = t
-            srow = DELAY_US[prof.region]
-            for dest_id, sm in sends:
-                ti = idx_of[dest_id]
-                start = busy
-                busy = start + (sm.size * 8_000_000 + bps - 1) // bps
-                arrival = busy + srow[profiles[ti].region]
-                if start >= next_disturb:
-                    push(heap, (next_disturb, seq, HELD, di, sm, ti, t, start, arrival))
-                else:
-                    commit(node, ti, sm, t, start, arrival, seq)
-                seq += 1
-            prof.busy_until = busy
+            if sends:
+                # the link model: each send starts when the sender's upstream
+                # frees, holds it for ceil(bits / bps) μs, and lands after the
+                # delay between the two regions
+                prof = profiles[di]
+                bps = prof.upstream_bps
+                busy = prof.busy_until
+                if busy < t:
+                    busy = t
+                srow = DELAY_US[prof.region]
+                for dest_id, sm in sends:
+                    ti = idx_of[dest_id]
+                    start = busy
+                    busy = start + (sm.size * 8_000_000 + bps - 1) // bps
+                    arrival = busy + srow[profiles[ti].region]
+                    if start >= next_disturb:
+                        push(heap, (next_disturb, seq, HELD, di, sm, ti, t, start, arrival))
+                        copies[sm.hash] += 1
+                    else:
+                        commit(node, ti, sm, t, start, arrival, seq)
+                    seq += 1
+                prof.busy_until = busy
+            if not copies[h]:
+                self._retire(h, source)
 
         self.seq = seq

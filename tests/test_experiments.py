@@ -132,6 +132,22 @@ def test_run_spec_rejects_unknown_disturbance_and_idle_period():
     RunSpec(**base, disturbance="churn_once", disturbance_period_us=0)
 
 
+def test_run_spec_rejects_an_empty_or_backward_schedule():
+    # a negative interval launched broadcasts before the churn at 0, and
+    # no rounds, no broadcasts or a negative horizon ran with no records
+    base = dict(n_nodes=16, variant="ne", redundancy=2, rounds_per_node=1,
+                interval_us=50_000, seed=1)
+    bad = [
+        ("interval_us", -50_000), ("interval_us", 0), ("rounds_per_node", 0),
+        ("total_broadcasts", 0), ("total_broadcasts", -3), ("horizon_us", -5),
+    ]
+    for key, value in bad:
+        with pytest.raises(ConfigurationError) as err:
+            RunSpec(**{**base, key: value})
+        assert key in str(err.value)
+    RunSpec(**{**base, "interval_us": 1, "total_broadcasts": 1, "horizon_us": 0})
+
+
 def test_grid_keys_reject_repeated_entries(tmp_path, capsys):
     # a repeated entry would run the same cell twice, with CSV rows that
     # cannot be told apart

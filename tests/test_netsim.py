@@ -22,6 +22,7 @@ from nebcast.netsim import (
     BANDWIDTH_CLASSES,
     DELAY_US,
     DELIVER,
+    HELD,
     REGION_PROPORTIONS,
     BANDWIDTH_PROPORTIONS,
     Engine,
@@ -61,6 +62,18 @@ def test_delay_matrix_is_symmetric_with_table_values():
     assert sum(REGION_PROPORTIONS) == 100
     assert sum(BANDWIDTH_PROPORTIONS) == 100
     assert BANDWIDTH_CLASSES == (512_000, 256_000, 128_000, 64_000)
+
+
+class _ReceiptTracker(BroadcastTracker):
+    """A tracker that also lists every first receipt as (hash, node index, time)."""
+
+    def __init__(self, n_nodes: int):
+        super().__init__(n_nodes)
+        self.receipts: list[tuple[int, int, int]] = []
+
+    def receive(self, msg_hash: int, t: int, honest: bool, node: int) -> None:
+        self.receipts.append((msg_hash, node, t))
+        super().receive(msg_hash, t, honest, node)
 
 
 def _link_engine(
@@ -188,6 +201,7 @@ def test_copy_to_offline_node_settles_only_before_the_disturbance(disturb_at, re
         disturb_rng=Random(5),
         collect_log=False,
     )
+    engine.tracker = _ReceiptTracker(3)
     engine.nodes[1].online = False
     engine.nodes[1].table.clear()
     engine.push_disturbance(disturb_at)
@@ -196,7 +210,8 @@ def test_copy_to_offline_node_settles_only_before_the_disturbance(disturb_at, re
     assert [node.online for node in engine.nodes] == [True, True, False]
     assert engine.accepted == int(received)
     assert engine.dropped_offline == 2 - int(received)
-    assert (0 in engine.nodes[1].known) == received
+    # (hash, node index, time): the initiator at 0, node 1 at 12 ms if its copy counted
+    assert engine.tracker.receipts == [(0, 0, 0)] + [(0, 1, 12_000)] * received
 
 
 def test_engine_rejects_unknown_variant_and_bad_beta():
@@ -474,7 +489,14 @@ def test_churn_survivors_keep_their_tables():
     assert nodes[0].table.scores() == before
 
 
-def _run_engine(
+def _run_engine(*args, horizon_us: int | None = None, **kwargs) -> Engine:
+    """A scheduled engine (see ``_scheduled_engine``), drained or stopped at ``horizon_us``."""
+    engine = _scheduled_engine(*args, **kwargs)
+    engine.run(horizon_us)
+    return engine
+
+
+def _scheduled_engine(
     n: int,
     seed: int,
     broadcasts: int,
@@ -486,14 +508,14 @@ def _run_engine(
     collect_log: bool = True,
     refuse: bool = False,
     gaps: bool = False,
-    horizon_us: int | None = None,
-):
-    """A bootstrapped engine run, drained or stopped at ``horizon_us``.
+) -> Engine:
+    """An engine over a bootstrapped overlay with its broadcasts and disturbances pushed.
 
     ``refuse`` makes half the nodes relay refusers. ``gaps`` drops the
     last entry of every bucket after the bootstrap, so that some
     senders are missing from their targets' tables; a filled bucket is
-    otherwise full or holds its whole id range.
+    otherwise full or holds its whole id range. The tracker also lists
+    every first receipt.
     """
     config = _config(n, capacity=capacity)
     nodes, profiles = bootstrap_topology(config, stream(seed, "topology", 0))
@@ -516,22 +538,26 @@ def _run_engine(
         variant=variant,
         beta=beta,
         disturb_rng=stream(seed, "disturb", 0),
-        tracker=BroadcastTracker(n),
+        tracker=_ReceiptTracker(n),
         collect_log=collect_log,
     )
     for t in churn_at or []:
         engine.push_disturbance(t)
     for j in range(broadcasts):
         engine.push_initiate(j * interval_us, j % n)
-    engine.run(horizon_us)
     return engine
 
 
 def _outcome(engine: Engine) -> tuple:
-    """Everything a run leaves behind except its log and clock."""
+    """Everything a run leaves behind except its log and clock.
+
+    Every first receipt stands for the ``known`` sets, which a drained
+    run empties as each broadcast retires.
+    """
     counters = (
         engine.data_sends, engine.confirm_sends, engine.dropped_offline, engine.accepted,
         engine.duplicates, engine.disturbances, engine.next_hash, engine.seq, engine.truncated,
+        engine.tickets_orphaned,
     )
     recs = [
         (rec.seq, rec.initiator, rec.received_count, rec.honest_received, rec.start_us,
@@ -545,7 +571,7 @@ def _outcome(engine: Engine) -> tuple:
         )
         for node in engine.nodes
     ]
-    return counters, recs, nodes
+    return counters, recs, engine.tracker.receipts, nodes
 
 
 _CHURN = [0, 60_000, 120_000, 180_000]
@@ -567,7 +593,8 @@ SETTLE_CASES = {
 def test_settling_deliveries_when_sent_changes_no_outcome(case, monkeypatch):
     # a collected log keeps every delivery on the heap; without one,
     # decided drops and duplicates are settled when sent. Both runs must
-    # end in the same counters, records, known sets, tickets and tables.
+    # end in the same counters, records, first receipts, known sets,
+    # tickets and tables.
     # The gaps leave senders missing from their targets' tables, so a
     # duplicate from an unknown sender is settled as well: the rule asks
     # only whether the target holds the hash.
@@ -770,6 +797,51 @@ def test_engine_keeps_every_online_bucket_saturated_under_churn(monkeypatch):
         check(engine.nodes)
         assert len(checked) == len(_CHURN) and all(checked)
         assert engine.accepted > 0
+
+
+def _assert_state_is_in_flight(engine: Engine) -> Counter:
+    """Nodes hold exactly the hashes with a copy on the heap, and tickets only for those.
+
+    Returns the deliveries and held sends waiting on the heap, per hash.
+    """
+    live = Counter(event[4].hash for event in engine.heap if event[2] in (DELIVER, HELD))
+    assert engine.copies == live
+    assert set().union(*(node.known for node in engine.nodes)) == set(live)
+    assert {ticket[0] for node in engine.nodes for ticket in node.tickets} <= set(live)
+    return live
+
+
+@pytest.mark.parametrize("variant", ["baseline", "ne", "gossip"])
+def test_nodes_hold_only_broadcasts_in_flight_under_churn(variant, monkeypatch):
+    # a hash is retired when its last copy lands, so at every disturbance
+    # and at the end the hashes the nodes hold are those with a copy on
+    # the heap, and a drained run leaves every set empty
+    engine = _scheduled_engine(
+        40, seed=23, broadcasts=120, beta=2, variant=variant, churn_at=_CHURN, collect_log=False
+    )
+    in_flight = []
+
+    def checked_disturbance(*args, **kwargs):
+        in_flight.append(len(_assert_state_is_in_flight(engine)))
+        apply_disturbance(*args, **kwargs)
+
+    monkeypatch.setattr(netsim, "apply_disturbance", checked_disturbance)
+    engine.run()
+    assert not _assert_state_is_in_flight(engine) and not engine.truncated
+    assert not any(node.known or node.tickets for node in engine.nodes)
+    assert len(in_flight) == len(_CHURN) and all(in_flight[1:])
+
+
+def test_run_cut_at_the_horizon_keeps_exactly_the_broadcasts_in_flight():
+    engine = _run_engine(
+        40, seed=37, broadcasts=40, interval_us=50_000, beta=3, variant="ne",
+        collect_log=False, horizon_us=1_000_000,
+    )
+    assert engine.truncated
+    live = _assert_state_is_in_flight(engine)
+    # some broadcasts finished before the cut and were forgotten
+    assert live and len(live) < engine.next_hash
+    assert engine.tickets_orphaned > 0
 
 
 def test_subtree_scopes_deliver_exactly_once_from_every_source():

@@ -289,10 +289,16 @@ def _engine(nodes: list[NodeState], variant: str) -> Engine:
     return Engine(nodes, profiles, config, random.Random(3), variant=variant, collect_log=True)
 
 
-def _deliver(engine: Engine, index: int, m: Message, t: int) -> None:
-    """Deliver ``m`` to node ``index`` at ``t`` and drain the engine."""
-    heappush(engine.heap, (t, engine.seq, DELIVER, index, m))
-    engine.seq += 1
+def _deliver(engine: Engine, index: int, m: Message, times: list[int]) -> None:
+    """Deliver a copy of ``m`` to node ``index`` at each of ``times``, then drain the engine.
+
+    Each copy is counted as on the heap, so its hash stays live until
+    the last of them, and whatever it causes, has landed.
+    """
+    for t in times:
+        heappush(engine.heap, (t, engine.seq, DELIVER, index, m))
+        engine.seq += 1
+        engine.copies[m.hash] = engine.copies.get(m.hash, 0) + 1
     engine.run()
 
 
@@ -300,6 +306,7 @@ def _engine_state(engine: Engine) -> tuple:
     """Every trace a delivery can leave except the duplicate count and the deliver entries."""
     return (
         engine.accepted, engine.data_sends, engine.confirm_sends, engine.dropped_offline,
+        engine.tickets_orphaned,
         [(sorted(node.known), node.table.scores(), set(node.tickets)) for node in engine.nodes],
         [entry for entry in engine.log if entry[0] != "deliver"],
     )
@@ -310,23 +317,27 @@ def test_engine_counts_a_repeated_copy_as_an_inert_duplicate():
     # it on to node 1 (bucket 2), which is offline; the same copy then
     # arrives again and must change nothing but the duplicate count
     for variant in ("ne", "gossip"):
-        nodes = [_node(0, peers=(1, 4)), _node(1, peers=(0, 4)), _node(4, peers=(0, 1))]
-        for node in nodes:
-            node.neighbors = list(node.table.scores())
-        nodes[1].online = False
-        nodes[2].known.add(7)
-        engine = _engine(nodes, variant)
-        m = _data(7, source=4, relay=4, sender=4)
-        _deliver(engine, 0, m, 0)
-        first = _engine_state(engine)
-        assert engine.data_sends == engine.dropped_offline == 1
-        _deliver(engine, 0, m, 100_000)
-        assert _engine_state(engine) == first
-        assert (engine.accepted, engine.duplicates) == (1, 1), variant
-        delivers = [entry for entry in engine.log if entry[0] == "deliver"]
+        runs = []
+        for times in ([0], [0, 100_000]):
+            nodes = [_node(0, peers=(1, 4)), _node(1, peers=(0, 4)), _node(4, peers=(0, 1))]
+            for node in nodes:
+                node.neighbors = list(node.table.scores())
+            nodes[1].online = False
+            nodes[2].known.add(7)
+            engine = _engine(nodes, variant)
+            _deliver(engine, 0, _data(7, source=4, relay=4, sender=4), times)
+            runs.append(engine)
+        once, twice = runs
+        assert once.data_sends == once.dropped_offline == 1
+        assert _engine_state(twice) == _engine_state(once)
+        assert (once.accepted, once.duplicates) == (1, 0), variant
+        assert (twice.accepted, twice.duplicates) == (1, 1), variant
+        delivers = [entry for entry in twice.log if entry[0] == "deliver"]
         assert [entry[5] for entry in delivers] == [True, False]
         if variant == "ne":
-            assert nodes[0].table.scores() == {1: 0, 4: 1}
+            assert twice.nodes[0].table.scores() == {1: 0, 4: 1}
+        # the last copy has landed: every node forgot the hash
+        assert not any(node.known for node in twice.nodes) and not twice.copies
 
 
 def test_engine_settles_a_repeated_confirmation_once_at_the_source():
@@ -337,12 +348,13 @@ def test_engine_settles_a_repeated_confirmation_once_at_the_source():
     source = nodes[0]
     source.known.add(7)
     source.tickets.add(Ticket(7, 4))
+    source.tickets.add(Ticket(7, 5))
     engine = _engine(nodes, "ne")
     confirm = Message(7, CONFIRM_BYTES, 1, 2, 4, is_confirmation=True)
-    _deliver(engine, 0, confirm, 0)
-    _deliver(engine, 0, confirm, 100_000)
+    _deliver(engine, 0, confirm, [0, 100_000])
     assert source.table.scores() == {2: 1, 4: 1, 5: 0}
-    assert source.tickets == set()
+    # probe 5 never confirmed; its ticket is orphaned when the hash retires
+    assert source.tickets == set() and engine.tickets_orphaned == 1
     assert (engine.accepted, engine.duplicates) == (0, 2)
     # the vote's score entries precede the deliver entry of its copy
     assert [(entry[0], entry[1]) for entry in engine.log] == [
@@ -351,15 +363,26 @@ def test_engine_settles_a_repeated_confirmation_once_at_the_source():
 
 
 def test_ticket_votes_conserved_per_broadcast():
-    # end-to-end audit of the one-vote-per-ticket rule: run a full
-    # evaluation-enabled simulation and group the logged score events
-    # by broadcast
-    from nebcast.netsim import bootstrap_topology
+    # end-to-end audit of the one-vote-per-ticket rule: run full
+    # evaluation-enabled simulations and group the logged score events
+    # by broadcast. No ticket is cleared by a disturbance here (the
+    # churn fires before the first broadcast), so every ticket issued is
+    # either settled by one vote or orphaned when its broadcast retires.
+    for disturbance, withholds in (
+        ("churn_once", False), ("none", False), ("refuse_half", False), ("refuse_half", True)
+    ):
+        _check_ticket_votes(disturbance, withholds)
+
+
+def _check_ticket_votes(disturbance: str, withholds: bool) -> None:
+    from nebcast.netsim import assign_refusers, bootstrap_topology
     from nebcast.protocol import SCORE_PROBE_VOTE, SCORE_RELAY_VOTE
     from nebcast.seeding import stream
 
     config = NetworkConfig(40)
     nodes, profiles = bootstrap_topology(config, stream(61, "topology", 0))
+    if disturbance == "refuse_half":
+        assign_refusers(nodes, stream(61, "disturb", 0))
     engine = Engine(
         nodes,
         profiles,
@@ -367,10 +390,12 @@ def test_ticket_votes_conserved_per_broadcast():
         stream(61, "protocol", 0),
         variant="ne",
         beta=2,
+        refuse_withholds_confirms=withholds,
         disturb_rng=stream(61, "disturb", 0),
         collect_log=True,
     )
-    engine.push_disturbance(0)
+    if disturbance == "churn_once":
+        engine.push_disturbance(0)
     for j in range(120):
         engine.push_initiate(j * 2_000, j % 40)
     engine.run()
@@ -393,3 +418,8 @@ def test_ticket_votes_conserved_per_broadcast():
         assert set(voters) <= issued[key]  # only ticketed probes count
         assert len(voters) <= len(issued[key])
         assert relay_votes[key] == len(voters)  # votes land in pairs
+    issued_total = sum(len(probes) for probes in issued.values())
+    assert issued_total == sum(1 for entry in engine.log if entry[0] == "ticket")
+    assert engine.tickets_orphaned > 0
+    assert issued_total == sum(map(len, probe_votes.values())) + engine.tickets_orphaned
+    assert not any(node.tickets for node in engine.nodes)

@@ -39,14 +39,14 @@ class MessageRec:
     )
 
     def __init__(
-        self, seq: int, initiator: int, full_count: int, online_at_start: int | None = None
+        self, seq: int, initiator: int, full_count: int, start_us: int, online_at_start: int | None
     ):
         self.seq = seq
         self.initiator = initiator
         self.full_count = full_count
         self.received_count = 0
         self.honest_received = 0
-        self.start_us: int | None = None
+        self.start_us = start_us
         self.last_receive_us: int | None = None
         # bitmask over node indices; bit i set when node i was online at the start
         if online_at_start is None:
@@ -68,7 +68,7 @@ class MessageRec:
 
 def latency(rec: MessageRec) -> int | None:
     """Start-to-last-receipt span in μs, or None while incomplete."""
-    if rec.last_receive_us is None or rec.start_us is None:
+    if rec.last_receive_us is None:
         return None
     return rec.last_receive_us - rec.start_us
 
@@ -108,8 +108,7 @@ class BroadcastTracker:
         self._open(msg_hash, initiator, t, 0)
 
     def _open(self, msg_hash: int, initiator: int, t: int, online: int | None) -> None:
-        rec = MessageRec(len(self.recs), initiator, self.n_nodes, online)
-        rec.start_us = t
+        rec = MessageRec(len(self.recs), initiator, self.n_nodes, t, online)
         self.recs.append(rec)
         self._by_hash[msg_hash] = rec
 

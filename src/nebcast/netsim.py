@@ -39,15 +39,18 @@ same time, and while a copy of a hash is on the heap the set of nodes
 holding that hash only grows between disturbances. Each settled send
 still takes its sequence number, so every other event keeps its order.
 
-Per-node state lasts only while its broadcast is in flight. The engine
-counts each hash's copies on the heap (deliveries and held sends); when
-an event of hash h has been handled, its own sends committed, and no
-copy of h is left, h is retired: every node forgets it, and the
-initiator drops its unsettled tickets for it, counted in
+Per-broadcast state lasts only while its broadcast is in flight. The
+engine keeps, per live hash, the nodes that hold it and its copies on
+the heap (deliveries and held sends); the initiator keeps its tickets
+under the hash. A disturbance leaves holders alone, so a node that
+falls and returns while h is in flight still holds h. When an event of
+hash h has been handled, its own sends committed, and no copy of h is
+left, h is retired: its holders, its count and the initiator's
+unsettled tickets for it are dropped, the tickets counted in
 ``tickets_orphaned``. This is exact too: a copy of h is created only
-when h is initiated or a copy of it is handled, ``known`` and tickets
-are read only when a copy lands, and a settled copy never reaches the
-heap. So after a run drains, every ``known`` and ticket set is empty;
+when h is initiated or a copy of it is handled, holders and tickets
+are read only when a copy of h is sent or lands, and a settled copy
+never reaches the heap. So a drained run ends with no broadcast state;
 a run cut at the horizon keeps exactly the hashes still in flight.
 """
 
@@ -244,8 +247,8 @@ def apply_disturbance(
     profiles: list[NodeNetProfile],
     now: int = 0,
     log: list | None = None,
-) -> None:
-    """Re-roll every node's liveness (churn).
+) -> int:
+    """Re-roll every node's liveness (churn); return the open tickets lost.
 
     Node with serial s (1-indexed) fails with probability s/N, so
     roughly half the network drops each time and high serials almost
@@ -257,12 +260,14 @@ def apply_disturbance(
     """
     n = len(nodes)
     sorted_ids = sorted(node.id for node in nodes)
+    lost = 0
     for i, node in enumerate(nodes):
         fails = rng.random() < (i + 1) / n
         if fails:
             if node.online:
                 node.online = False
                 node.table.clear()
+                lost += sum(map(len, node.tickets.values()))
                 node.tickets.clear()
                 profiles[i].busy_until = 0
                 if log is not None:
@@ -272,6 +277,7 @@ def apply_disturbance(
             fill_table(node.table, sorted_ids, rng, now)
             if log is not None:
                 log.append(("node_online", now, node.id))
+    return lost
 
 
 def _online_mask(nodes: list[NodeState]) -> int:
@@ -319,14 +325,16 @@ class Engine:
     at the last event actually popped, which a settled delivery never
     is.
 
-    ``copies`` maps each live hash to its deliveries and held sends on
-    the heap: +1 per push, -1 per pop, unchanged when a held send is
-    held again. Once an event of hash h is handled and its sends are
-    committed (at once, for a broadcast that sent nothing), a count of
-    zero retires h (see the module docstring): it leaves ``copies`` and
-    every ``known`` set, and the initiator's remaining tickets for it
-    are dropped and counted in ``tickets_orphaned``. A casualty's
-    tickets are cleared by its disturbance instead and not counted.
+    ``holders`` maps each live hash to the indices of the nodes holding
+    it (the initiator, then each new copy's target before that copy's
+    sends are committed), and ``copies`` to its deliveries and held
+    sends on the heap: +1 per push, -1 per pop, unchanged when a held
+    send is held again. Once an event of hash h is handled and its
+    sends are committed (at once, for a broadcast that sent nothing), a
+    count of zero retires h (see the module docstring), and the
+    initiator's remaining tickets for it are counted in
+    ``tickets_orphaned``. A casualty's open tickets are counted in
+    ``tickets_lost`` when its disturbance clears them.
     """
 
     def __init__(
@@ -381,7 +389,10 @@ class Engine:
         self.settle_before = -1
         # live hash -> its DELIVER and HELD events on the heap
         self.copies: dict[int, int] = {}
+        # live hash -> indices of the nodes holding it
+        self.holders: dict[int, set[int]] = {}
         self.tickets_orphaned = 0
+        self.tickets_lost = 0
 
     def push_initiate(self, t: int, slot: int) -> None:
         """Schedule a broadcast for the node at ``initiate_order[slot % n]``.
@@ -413,7 +424,7 @@ class Engine:
             target = self.nodes[ti]
             if not target.online:
                 self.dropped_offline += 1
-            elif sm.hash in target.known and (self.gossip or target.id != sm.source):
+            elif ti in self.holders[sm.hash] and (self.gossip or target.id != sm.source):
                 self.duplicates += 1
             else:
                 heappush(self.heap, (arrival, seq, DELIVER, ti, sm))
@@ -436,15 +447,10 @@ class Engine:
             )
 
     def _retire(self, h: int, source_id: int) -> None:
-        """Forget hash ``h``, whose last copy has landed, at every node."""
+        """Drop the state of broadcast ``h``, whose last copy has landed."""
         del self.copies[h]
-        for node in self.nodes:
-            node.known.discard(h)
-        tickets = self.nodes[self.idx_of[source_id]].tickets
-        if tickets:
-            stale = [ticket for ticket in tickets if ticket[0] == h]
-            tickets.difference_update(stale)
-            self.tickets_orphaned += len(stale)
+        del self.holders[h]
+        self.tickets_orphaned += len(self.nodes[self.idx_of[source_id]].tickets.pop(h, ()))
 
     def _settle_limit(self, next_disturb: int, horizon_us: int | None) -> int:
         """The time before which a delivery may be settled when sent; -1 for none."""
@@ -477,6 +483,7 @@ class Engine:
         push = heappush
         commit = self._commit
         copies = self.copies
+        holders = self.holders
         next_disturb = dtimes[0] if dtimes else _NEVER
         online_mask = _online_mask(nodes)
         self.settle_before = self._settle_limit(next_disturb, horizon_us)
@@ -503,7 +510,7 @@ class Engine:
                     if log is not None:
                         log.append(("drop_offline", t, node.id, h))
                     sends = ()
-                elif h in node.known:
+                elif di in holders[h]:
                     if node.id == source and not gossip:
                         # a confirmation settles its ticket's vote, once
                         handle_message(node, m, beta, ne, rng, t, confirm_size, withholds, log)
@@ -512,6 +519,7 @@ class Engine:
                         log.append(("deliver", t, node.id, h, m.sender, False, m.is_confirmation))
                     sends = ()
                 else:
+                    holders[h].add(di)
                     self.accepted += 1
                     if tracker is not None:
                         tracker.receive(h, t, not node.refuses_relay, di)
@@ -544,6 +552,7 @@ class Engine:
                 node = nodes[di]
                 source = node.id
                 copies[h] = 0
+                holders[h] = {di}
                 if tracker is not None:
                     tracker.initiate(h, di, t, not node.refuses_relay, online_mask)
                 if log is not None:
@@ -558,7 +567,7 @@ class Engine:
                 self.disturbances += 1
                 if log is not None:
                     log.append(("disturb", t, self.disturbances))
-                apply_disturbance(nodes, self.disturb_rng, profiles, t, log)
+                self.tickets_lost += apply_disturbance(nodes, self.disturb_rng, profiles, t, log)
                 online_mask = _online_mask(nodes)
                 next_disturb = dtimes[0] if dtimes else _NEVER
                 self.settle_before = self._settle_limit(next_disturb, horizon_us)

@@ -19,15 +19,15 @@ are weighted by.
 All operations are pure state transitions: they mutate only the given
 node and return send intents ``(destination id, message)`` for the
 network layer to schedule. Nothing here knows about time-of-flight,
-bandwidth, or liveness.
+bandwidth, or liveness, nor records who holds a hash: the engine does,
+per broadcast, and calls in here only for a new copy or a copy at its
+source.
 """
 
 from __future__ import annotations
 
 from random import Random
-from typing import NamedTuple
 
-from .errors import ConfigurationError
 from .routing import RoutingTable, probe_set, select_relays, select_uniform
 
 DATA_BYTES = 128
@@ -77,23 +77,16 @@ class Message:
         )
 
 
-class Ticket(NamedTuple):
-    """A pending vote slot: which probe may confirm which broadcast."""
-
-    message_hash: int
-    probe_id: int
-
-
 class NodeState:
     """Everything one node remembers between events."""
 
-    __slots__ = ("id", "table", "known", "tickets", "refuses_relay", "online", "neighbors")
+    __slots__ = ("id", "table", "tickets", "refuses_relay", "online", "neighbors")
 
     def __init__(self, id: int, table: RoutingTable, refuses_relay: bool = False):
         self.id = id
         self.table = table
-        self.known: set[int] = set()
-        self.tickets: set[Ticket] = set()
+        # hash of a broadcast this node started -> probes that may still confirm it
+        self.tickets: dict[int, set[int]] = {}
         self.refuses_relay = refuses_relay
         self.online = True
         # static adjacency, only used by the gossip baseline
@@ -118,10 +111,8 @@ def initiate_broadcast(
     member that lost the draw gets a ticket; with it off, selection is
     uniform and no tickets exist.
     """
-    if msg_hash in node.known:
-        raise ConfigurationError(f"hash {msg_hash} already initiated or received at this node")
-    node.known.add(msg_hash)
     sends: list[tuple[int, Message]] = []
+    probes: set[int] = set()
     pick = select_relays if ne_enabled else select_uniform
     for bucket in node.table.buckets:
         if not bucket.entries:
@@ -132,9 +123,11 @@ def initiate_broadcast(
             sends.append((entry.peer, m))
         if ne_enabled:
             for entry in probe_set(bucket, relays):
-                node.tickets.add(Ticket(msg_hash, entry.peer))
+                probes.add(entry.peer)
                 if events is not None:
                     events.append(("ticket", now, node.id, entry.peer, msg_hash))
+    if probes:
+        node.tickets[msg_hash] = probes
     return sends
 
 
@@ -167,9 +160,9 @@ def handle_message(
     if node.id == m.source:
         # only confirmations come back to the source for a hash it owns;
         # settle the vote if this probe still holds a ticket
-        ticket = (h, m.sender)
-        if ticket in node.tickets:
-            node.tickets.discard(ticket)
+        probes = node.tickets.get(h, ())
+        if m.sender in probes:
+            probes.discard(m.sender)
             table.add_score(m.sender)
             table.add_score(m.relay)
             if events is not None:
@@ -177,7 +170,6 @@ def handle_message(
                 events.append(("score", now, node.id, m.relay, SCORE_RELAY_VOTE, h))
         return ()
     table.add_score(m.sender)
-    node.known.add(h)
     if events is not None:
         events.append(("score", now, node.id, m.sender, SCORE_NEW_SENDER, h))
     sends: list[tuple[int, Message]] = []
@@ -214,9 +206,6 @@ def gossip_initiate(
     msg_hash: int,
 ) -> list[tuple[int, Message]]:
     """Start a gossip round: push to ``fanout`` random neighbors."""
-    if msg_hash in node.known:
-        raise ConfigurationError(f"hash {msg_hash} already initiated or received at this node")
-    node.known.add(msg_hash)
     targets = node.neighbors
     if fanout < len(targets):
         targets = rng.sample(targets, fanout)
@@ -230,14 +219,13 @@ def gossip_handle(
     fanout: int,
     rng: Random,
 ) -> list[tuple[int, Message]]:
-    """Gossip reception: record a new hash and forward it to random neighbors.
+    """Gossip reception: forward a new hash to random neighbors.
 
     The engine calls this only for a hash the receiver does not hold
     yet and counts every other copy as a duplicate. The sender is
     excluded from the candidate set, so the effective fanout is capped
     at degree - 1.
     """
-    node.known.add(m.hash)
     candidates = [peer for peer in node.neighbors if peer != m.sender]
     if fanout < len(candidates):
         candidates = rng.sample(candidates, fanout)

@@ -49,7 +49,6 @@ from nebcast.protocol import (
     DATA_BYTES,
     Message,
     NodeState,
-    Ticket,
     handle_message,
     initiate_broadcast,
 )
@@ -191,7 +190,7 @@ def test_03_confirmation_voting_exact_outcome(capsys):
     h = 77
     sends = initiate_broadcast(source, DATA_BYTES, 1, True, _RankZeroRng(), 0, h)
     relays_ok = sorted(dest for dest, _ in sends) == [3, 4]
-    tickets_ok = source.tickets == {Ticket(h, 5), Ticket(h, 2)}
+    tickets_ok = source.tickets == {h: {5, 2}}
 
     # Both probes hear node 3's forwarded copy first and echo a
     # confirmation that names 3 in the relay field.
@@ -215,7 +214,7 @@ def test_03_confirmation_voting_exact_outcome(capsys):
 
     repeat = handle_message(source, confirmations[0][1], 1, True, random.Random(0), 11)
     inert_ok = (
-        not repeat and source.table.scores() == scores and source.tickets == set()
+        not repeat and source.table.scores() == scores and source.tickets == {h: set()}
     )
 
     ok = relays_ok and tickets_ok and shapes_ok and votes_ok and inert_ok

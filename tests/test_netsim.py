@@ -443,10 +443,12 @@ def _bucket_peers(node: NodeState) -> list[list[int]]:
 def test_churn_clears_casualties_and_rebootstraps_returners():
     nodes, profiles, _ = _network(30, seed=8)
     ids = [node.id for node in nodes]
-    nodes[10].tickets.add((1, 2))
+    # the last serial always falls; its open tickets are counted as lost
+    nodes[-1].tickets[1] = {2, 5}
+    nodes[-1].tickets[4] = set()
     profiles[-1].busy_until = 99_999
     rng = Random(3)
-    apply_disturbance(nodes, rng, profiles, now=60)
+    assert apply_disturbance(nodes, rng, profiles, now=60) == 2
     for i, node in enumerate(nodes):
         if not node.online:
             assert len(node.table) == 0
@@ -551,13 +553,13 @@ def _scheduled_engine(
 def _outcome(engine: Engine) -> tuple:
     """Everything a run leaves behind except its log and clock.
 
-    Every first receipt stands for the ``known`` sets, which a drained
-    run empties as each broadcast retires.
+    Every first receipt stands for the holders of each hash, which a
+    drained run drops as each broadcast retires.
     """
     counters = (
         engine.data_sends, engine.confirm_sends, engine.dropped_offline, engine.accepted,
         engine.duplicates, engine.disturbances, engine.next_hash, engine.seq, engine.truncated,
-        engine.tickets_orphaned,
+        engine.tickets_orphaned, engine.tickets_lost,
     )
     recs = [
         (rec.seq, rec.initiator, rec.received_count, rec.honest_received, rec.start_us,
@@ -566,12 +568,13 @@ def _outcome(engine: Engine) -> tuple:
     ]
     nodes = [
         (
-            node.online, sorted(node.known), sorted(node.tickets),
+            node.online, sorted((h, sorted(probes)) for h, probes in node.tickets.items()),
             [[(e.peer, e.score, e.inserted_at) for e in b.entries] for b in node.table.buckets],
         )
         for node in engine.nodes
     ]
-    return counters, recs, engine.tracker.receipts, nodes
+    holders = sorted((h, sorted(held)) for h, held in engine.holders.items())
+    return counters, recs, engine.tracker.receipts, holders, nodes
 
 
 _CHURN = [0, 60_000, 120_000, 180_000]
@@ -593,7 +596,7 @@ SETTLE_CASES = {
 def test_settling_deliveries_when_sent_changes_no_outcome(case, monkeypatch):
     # a collected log keeps every delivery on the heap; without one,
     # decided drops and duplicates are settled when sent. Both runs must
-    # end in the same counters, records, first receipts, known sets,
+    # end in the same counters, records, first receipts, holders,
     # tickets and tables.
     # The gaps leave senders missing from their targets' tables, so a
     # duplicate from an unknown sender is settled as well: the rule asks
@@ -783,9 +786,10 @@ def test_engine_keeps_every_online_bucket_saturated_under_churn(monkeypatch):
 
     def checked_disturbance(nodes, *args, **kwargs):
         check(nodes)
-        apply_disturbance(nodes, *args, **kwargs)
+        lost = apply_disturbance(nodes, *args, **kwargs)
         check(nodes)
         checked.append(sum(not node.online for node in nodes))
+        return lost
 
     monkeypatch.setattr(netsim, "apply_disturbance", checked_disturbance)
     for variant in ("baseline", "ne"):
@@ -800,22 +804,22 @@ def test_engine_keeps_every_online_bucket_saturated_under_churn(monkeypatch):
 
 
 def _assert_state_is_in_flight(engine: Engine) -> Counter:
-    """Nodes hold exactly the hashes with a copy on the heap, and tickets only for those.
+    """Holders are kept for exactly the hashes with a copy on the heap, tickets only for those.
 
     Returns the deliveries and held sends waiting on the heap, per hash.
     """
     live = Counter(event[4].hash for event in engine.heap if event[2] in (DELIVER, HELD))
     assert engine.copies == live
-    assert set().union(*(node.known for node in engine.nodes)) == set(live)
-    assert {ticket[0] for node in engine.nodes for ticket in node.tickets} <= set(live)
+    assert engine.holders.keys() == engine.copies.keys() == live.keys()
+    assert all(node.tickets.keys() <= live.keys() for node in engine.nodes)
     return live
 
 
 @pytest.mark.parametrize("variant", ["baseline", "ne", "gossip"])
 def test_nodes_hold_only_broadcasts_in_flight_under_churn(variant, monkeypatch):
     # a hash is retired when its last copy lands, so at every disturbance
-    # and at the end the hashes the nodes hold are those with a copy on
-    # the heap, and a drained run leaves every set empty
+    # and at the end the engine keeps holders for exactly the hashes with
+    # a copy on the heap, and a drained run leaves no broadcast state
     engine = _scheduled_engine(
         40, seed=23, broadcasts=120, beta=2, variant=variant, churn_at=_CHURN, collect_log=False
     )
@@ -823,12 +827,12 @@ def test_nodes_hold_only_broadcasts_in_flight_under_churn(variant, monkeypatch):
 
     def checked_disturbance(*args, **kwargs):
         in_flight.append(len(_assert_state_is_in_flight(engine)))
-        apply_disturbance(*args, **kwargs)
+        return apply_disturbance(*args, **kwargs)
 
     monkeypatch.setattr(netsim, "apply_disturbance", checked_disturbance)
     engine.run()
     assert not _assert_state_is_in_flight(engine) and not engine.truncated
-    assert not any(node.known or node.tickets for node in engine.nodes)
+    assert not engine.holders and not any(node.tickets for node in engine.nodes)
     assert len(in_flight) == len(_CHURN) and all(in_flight[1:])
 
 

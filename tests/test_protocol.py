@@ -12,14 +12,12 @@ from heapq import heappush
 
 import pytest
 
-from nebcast.errors import ConfigurationError
 from nebcast.netsim import DELIVER, Engine, NetworkConfig, NodeNetProfile
 from nebcast.protocol import (
     CONFIRM_BYTES,
     DATA_BYTES,
     Message,
     NodeState,
-    Ticket,
     gossip_handle,
     gossip_initiate,
     handle_message,
@@ -61,24 +59,15 @@ def test_initiate_one_relay_per_bucket_and_tickets_for_the_rest():
         assert m.relay == dest
         assert m.source == 0 and m.sender == 0
         assert m.size == DATA_BYTES and not m.is_confirmation
-    assert node.tickets == {Ticket(900, 6), Ticket(900, 2)}
+    assert node.tickets == {900: {6, 2}}
     assert {e[3] for e in events if e[0] == "ticket"} == {6, 2}
-    assert 900 in node.known
 
 
-def test_initiate_with_empty_table_records_hash():
+def test_initiate_with_empty_table_sends_nothing():
     node = _node(0, peers=())
     sends = initiate_broadcast(node, DATA_BYTES, 2, True, random.Random(1), 0, 7)
     assert sends == []
-    assert node.known == {7}
-    assert node.tickets == set()
-
-
-def test_initiate_rejects_known_hash():
-    node = _node(0, peers=(1,))
-    initiate_broadcast(node, DATA_BYTES, 1, False, random.Random(1), 0, 7)
-    with pytest.raises(ConfigurationError):
-        initiate_broadcast(node, DATA_BYTES, 1, False, random.Random(1), 0, 7)
+    assert node.tickets == {}
 
 
 def test_initiate_without_ne_never_creates_tickets():
@@ -86,7 +75,7 @@ def test_initiate_without_ne_never_creates_tickets():
     for trial in range(50):
         node = _node(0, peers=(1, 2, 3, 4, 5, 6, 7))
         sends = initiate_broadcast(node, DATA_BYTES, 2, False, rng, 0, trial)
-        assert node.tickets == set()
+        assert node.tickets == {}
         assert len(sends) == 5  # two per populated multi-entry bucket, one for bucket 2
 
 
@@ -94,7 +83,7 @@ def test_initiate_beta_covers_everything():
     node = _node(0, peers=(1, 2, 3, 4, 6))
     sends = initiate_broadcast(node, DATA_BYTES, 7, True, _RankZeroRng(), 0, 1)
     assert sorted(dest for dest, _ in sends) == [1, 2, 3, 4, 6]
-    assert node.tickets == set()
+    assert node.tickets == {}
 
 
 def test_message_kind_is_keyword_only():
@@ -111,7 +100,6 @@ def test_handle_new_message_scores_sender_and_relays_subtree_only():
     node = _node(0, peers=(1, 2, 3, 6))
     m = _data(7, source=4, relay=4, sender=4)
     sends = handle_message(node, m, 2, False, random.Random(3), 0)
-    assert node.known == {7}
     assert node.table.scores()[6] == 0  # only the sender is credited
     dests = [dest for dest, _ in sends]
     assert set(dests) <= {1, 2, 3}
@@ -127,8 +115,7 @@ def test_handle_scores_sender_even_when_sender_unknown():
     node = _node(0, peers=(1,))
     m = _data(7, source=6, relay=6, sender=6)
     handle_message(node, m, 1, False, random.Random(3), 0)
-    # sender is not in the table; scoring is a no-op, delivery still counts
-    assert node.known == {7}
+    # sender is not in the table; scoring is a no-op
     assert node.table.scores() == {1: 0}
 
 
@@ -150,18 +137,16 @@ def test_handle_emits_confirmation_when_source_is_reachable_neighbor():
 def test_source_settles_vote_from_confirmation():
     # continuation of the scenario above, seen from node 1
     source = _node(1, peers=(2, 4, 5))
-    source.known.add(7)
-    source.tickets.add(Ticket(7, 4))
+    source.tickets[7] = {4}
     confirm = Message(7, CONFIRM_BYTES, 1, 2, 4, is_confirmation=True)
     assert handle_message(source, confirm, 1, True, _RankZeroRng(), 0) == ()
     assert source.table.scores()[4] == 1  # probe credit
     assert source.table.scores()[2] == 1  # relay credit
-    assert source.tickets == set()
+    assert source.tickets == {7: set()}
 
 
 def test_source_ignores_confirmation_without_ticket():
     source = _node(1, peers=(2, 4, 5))
-    source.known.add(7)
     confirm = Message(7, CONFIRM_BYTES, 1, 2, 4, is_confirmation=True)
     assert handle_message(source, confirm, 1, True, _RankZeroRng(), 0) == ()
     assert all(score == 0 for score in source.table.scores().values())
@@ -194,7 +179,6 @@ def test_refusing_node_confirms_but_does_not_relay():
     sends = handle_message(node, m, 1, True, _RankZeroRng(), 0)
     assert len(sends) == 1
     assert sends[0][1].is_confirmation
-    assert node.known == {7}
 
 
 def test_refusing_node_can_withhold_confirmations_too():
@@ -202,7 +186,6 @@ def test_refusing_node_can_withhold_confirmations_too():
     m = _data(7, source=1, relay=2, sender=2)
     sends = handle_message(node, m, 1, True, _RankZeroRng(), 0, refuse_withholds_confirms=True)
     assert sends == []
-    assert node.known == {7}  # reception itself still counts
 
 
 def test_vote_settlement_first_confirmation_per_probe_wins():
@@ -214,7 +197,7 @@ def test_vote_settlement_first_confirmation_per_probe_wins():
     source.table.add_score(3)
     sends = initiate_broadcast(source, DATA_BYTES, 1, True, _RankZeroRng(), 0, 7)
     assert sorted(dest for dest, _ in sends) == [3, 4]
-    assert source.tickets == {Ticket(7, 5), Ticket(7, 2)}
+    assert source.tickets == {7: {5, 2}}
 
     base = source.table.scores()
     confirmations = [
@@ -228,14 +211,14 @@ def test_vote_settlement_first_confirmation_per_probe_wins():
     deltas = {peer: after[peer] - base[peer] for peer in after if after[peer] != base[peer]}
     assert deltas == {3: 2, 2: 1, 5: 1}
     assert source.table.scores()[4] == base[4]  # losing relay gains nothing
-    assert source.tickets == set()
+    assert source.tickets == {7: set()}
 
 
 def test_vote_outcome_empty_batch():
     # issuing tickets credits nobody: without a confirmation no score moves
     source = _node(1, peers=(2, 3, 4, 5))
     initiate_broadcast(source, DATA_BYTES, 1, True, _RankZeroRng(), 0, 7)
-    assert source.tickets == {Ticket(7, 5), Ticket(7, 3)}
+    assert source.tickets == {7: {5, 3}}
     assert source.table.scores() == {2: 0, 3: 0, 4: 0, 5: 0}
 
 
@@ -245,18 +228,9 @@ def test_gossip_initiate_and_fanout_cap():
     sends = gossip_initiate(node, DATA_BYTES, 2, random.Random(5), 9)
     assert len(sends) == 2
     assert {dest for dest, _ in sends} <= {1, 2, 3, 4}
-    assert node.known == {9}
     full = _node(0, peers=())
     full.neighbors = [1, 2]
     assert len(gossip_initiate(full, DATA_BYTES, 10, random.Random(5), 9)) == 2
-
-
-def test_gossip_initiate_validates():
-    node = _node(0, peers=())
-    node.neighbors = [1]
-    gossip_initiate(node, DATA_BYTES, 1, random.Random(1), 9)
-    with pytest.raises(ConfigurationError):
-        gossip_initiate(node, DATA_BYTES, 1, random.Random(1), 9)
 
 
 def test_gossip_handle_excludes_sender():
@@ -267,7 +241,6 @@ def test_gossip_handle_excludes_sender():
     assert {dest for dest, _ in sends} == {2, 3}  # flooding limit skips the sender
     for _, fm in sends:
         assert fm.sender == 5
-    assert node.known == {9}
 
 
 def test_gossip_handle_respects_fanout():
@@ -292,9 +265,11 @@ def _engine(nodes: list[NodeState], variant: str) -> Engine:
 def _deliver(engine: Engine, index: int, m: Message, times: list[int]) -> None:
     """Deliver a copy of ``m`` to node ``index`` at each of ``times``, then drain the engine.
 
-    Each copy is counted as on the heap, so its hash stays live until
+    The hash is opened as at its initiation, held by its source, and
+    each copy is counted as on the heap, so the hash stays live until
     the last of them, and whatever it causes, has landed.
     """
+    engine.holders.setdefault(m.hash, {engine.idx_of[m.source]})
     for t in times:
         heappush(engine.heap, (t, engine.seq, DELIVER, index, m))
         engine.seq += 1
@@ -306,8 +281,8 @@ def _engine_state(engine: Engine) -> tuple:
     """Every trace a delivery can leave except the duplicate count and the deliver entries."""
     return (
         engine.accepted, engine.data_sends, engine.confirm_sends, engine.dropped_offline,
-        engine.tickets_orphaned,
-        [(sorted(node.known), node.table.scores(), set(node.tickets)) for node in engine.nodes],
+        engine.tickets_orphaned, engine.tickets_lost, engine.holders,
+        [(node.online, node.table.scores(), node.tickets) for node in engine.nodes],
         [entry for entry in engine.log if entry[0] != "deliver"],
     )
 
@@ -323,7 +298,6 @@ def test_engine_counts_a_repeated_copy_as_an_inert_duplicate():
             for node in nodes:
                 node.neighbors = list(node.table.scores())
             nodes[1].online = False
-            nodes[2].known.add(7)
             engine = _engine(nodes, variant)
             _deliver(engine, 0, _data(7, source=4, relay=4, sender=4), times)
             runs.append(engine)
@@ -336,8 +310,8 @@ def test_engine_counts_a_repeated_copy_as_an_inert_duplicate():
         assert [entry[5] for entry in delivers] == [True, False]
         if variant == "ne":
             assert twice.nodes[0].table.scores() == {1: 0, 4: 1}
-        # the last copy has landed: every node forgot the hash
-        assert not any(node.known for node in twice.nodes) and not twice.copies
+        # the last copy has landed: the broadcast's state is gone
+        assert not twice.holders and not twice.copies
 
 
 def test_engine_settles_a_repeated_confirmation_once_at_the_source():
@@ -346,15 +320,13 @@ def test_engine_settles_a_repeated_confirmation_once_at_the_source():
     # settle its ticket's vote, and its repeat finds the ticket gone
     nodes = [_node(1, peers=(2, 4, 5)), _node(2), _node(4), _node(5)]
     source = nodes[0]
-    source.known.add(7)
-    source.tickets.add(Ticket(7, 4))
-    source.tickets.add(Ticket(7, 5))
+    source.tickets[7] = {4, 5}
     engine = _engine(nodes, "ne")
     confirm = Message(7, CONFIRM_BYTES, 1, 2, 4, is_confirmation=True)
     _deliver(engine, 0, confirm, [0, 100_000])
     assert source.table.scores() == {2: 1, 4: 1, 5: 0}
     # probe 5 never confirmed; its ticket is orphaned when the hash retires
-    assert source.tickets == set() and engine.tickets_orphaned == 1
+    assert source.tickets == {} and engine.tickets_orphaned == 1
     assert (engine.accepted, engine.duplicates) == (0, 2)
     # the vote's score entries precede the deliver entry of its copy
     assert [(entry[0], entry[1]) for entry in engine.log] == [
@@ -362,14 +334,59 @@ def test_engine_settles_a_repeated_confirmation_once_at_the_source():
     ]
 
 
+class _ScriptedRng:
+    """Draws the given values in order; ``sample`` keeps the population's order."""
+
+    def __init__(self, draws: list[float]):
+        self.draws = iter(draws)
+
+    def random(self) -> float:
+        return next(self.draws)
+
+    def sample(self, population, k: int) -> list:
+        return list(population)[:k]
+
+
+def test_engine_counts_a_copy_to_a_returner_as_a_duplicate():
+    # node 1 takes hash 7 from its source, node 4, at 0 and passes it on
+    # to node 0. It falls at the disturbance at 10 ms (draw 0.0 < 2/3)
+    # and returns at the one at 20 ms (0.9 >= 2/3); node 0 stays up
+    # (0.9 >= 1/3) and node 4, the last serial, falls. A disturbance
+    # leaves what a node holds alone, so a copy of the hash still in
+    # flight that reaches node 1 at 30 ms is a duplicate, not a receipt.
+    for variant in ("baseline", "ne"):
+        runs = []
+        for times in ([0], [0, 30_000]):
+            nodes = [_node(0, peers=(1, 4)), _node(1, peers=(0, 4)), _node(4, peers=(0, 1))]
+            engine = _engine(nodes, variant)
+            engine.disturb_rng = _ScriptedRng([0.9, 0.0, 0.0, 0.9, 0.9, 0.0])
+            engine.push_disturbance(10_000)
+            engine.push_disturbance(20_000)
+            _deliver(engine, 1, _data(7, source=4, relay=1, sender=4), times)
+            runs.append(engine)
+        once, twice = runs
+        assert ("node_offline", 10_000, 1) in once.log and ("node_online", 20_000, 1) in once.log
+        assert [node.online for node in once.nodes] == [True, True, False]
+        assert _engine_state(twice) == _engine_state(once)
+        assert (once.accepted, once.duplicates) == (2, 0), variant
+        assert (twice.accepted, twice.duplicates) == (2, 1), variant
+        assert [entry[1:3] + entry[5:6] for entry in twice.log if entry[0] == "deliver"][-1] == (
+            30_000, 1, False
+        )
+
+
 def test_ticket_votes_conserved_per_broadcast():
     # end-to-end audit of the one-vote-per-ticket rule: run full
     # evaluation-enabled simulations and group the logged score events
-    # by broadcast. No ticket is cleared by a disturbance here (the
-    # churn fires before the first broadcast), so every ticket issued is
-    # either settled by one vote or orphaned when its broadcast retires.
+    # by broadcast. Every ticket issued is settled by one vote, cleared
+    # with its source at a disturbance, or orphaned when its broadcast
+    # retires.
     for disturbance, withholds in (
-        ("churn_once", False), ("none", False), ("refuse_half", False), ("refuse_half", True)
+        ("churn_once", False),
+        ("churn_mid", False),
+        ("none", False),
+        ("refuse_half", False),
+        ("refuse_half", True),
     ):
         _check_ticket_votes(disturbance, withholds)
 
@@ -396,6 +413,10 @@ def _check_ticket_votes(disturbance: str, withholds: bool) -> None:
     )
     if disturbance == "churn_once":
         engine.push_disturbance(0)
+    elif disturbance == "churn_mid":
+        # the broadcasts launch from 0 to 238 ms; sources fall among them
+        for t in (60_000, 120_000, 180_000):
+            engine.push_disturbance(t)
     for j in range(120):
         engine.push_initiate(j * 2_000, j % 40)
     engine.run()
@@ -421,5 +442,8 @@ def _check_ticket_votes(disturbance: str, withholds: bool) -> None:
     issued_total = sum(len(probes) for probes in issued.values())
     assert issued_total == sum(1 for entry in engine.log if entry[0] == "ticket")
     assert engine.tickets_orphaned > 0
-    assert issued_total == sum(map(len, probe_votes.values())) + engine.tickets_orphaned
+    assert (engine.tickets_lost > 0) == (disturbance == "churn_mid")
+    assert issued_total == (
+        sum(map(len, probe_votes.values())) + engine.tickets_orphaned + engine.tickets_lost
+    )
     assert not any(node.tickets for node in engine.nodes)

@@ -196,21 +196,31 @@ def _bucket_slice(sorted_ids: list[int], owner: int, index: int, width: int) -> 
 
 
 def fill_table(table: RoutingTable, sorted_ids: list[int], rng: Random, now: int) -> None:
-    """File into each bucket a uniform ordered sample of its id range.
+    """File into each bucket of an empty table a uniform ordered sample of its id range.
 
-    Bucket i draws min(capacity, ids in its range) positions with one
-    ``rng.sample`` and files them in draw order, stamped ``now``, at
-    O(width * (log N + capacity)) per table. Offering every other id in
-    a uniform shuffle and keeping what fits has the same law: a bucket
-    keeps the first ids of its range in shuffle order, a uniform
-    ordered subset of that range.
+    Bucket i draws min(capacity, ids in its range) ids with one
+    ``rng.sample`` over its slice of ``sorted_ids`` and files them in
+    draw order, stamped ``now``, with one ``RoutingTable.file_peers``
+    call, at O(width * log N + entries) per table. Distinct ids of the
+    bucket's own range need none of ``insert_peer``'s checks. A bucket
+    whose range is empty is skipped, which draws nothing, as a sample
+    of none would. Offering every other id in a uniform shuffle and
+    keeping what fits has the same law: a bucket keeps the first ids of
+    its range in shuffle order, a uniform ordered subset of that range.
+
+    The table must be empty, as a new one is and a fallen node's is once
+    cleared; anything else raises ``ConfigurationError``.
     """
+    if len(table):
+        raise ConfigurationError(
+            f"fill_table needs an empty table; node {table.owner:#x} holds {len(table)} peers"
+        )
     owner = table.owner
     width = table.width
     for i, bucket in enumerate(table.buckets):
         a, b = _bucket_slice(sorted_ids, owner, i, width)
-        for j in rng.sample(range(a, b), min(bucket.capacity, b - a)):
-            table.insert_peer(sorted_ids[j], now)
+        if a < b:
+            table.file_peers(i, rng.sample(sorted_ids[a:b], min(bucket.capacity, b - a)), now)
 
 
 def fully_reachable(nodes: list[NodeState], width: int) -> bool:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from random import Random
+from typing import Sequence
 
 from .errors import ConfigurationError
 from .identity import check_id, check_width
@@ -102,13 +103,25 @@ class RoutingTable:
         if peer == self.owner or peer in self._entries:
             return False
         # index inline: arguments were range-checked when the ids were made
-        bucket = self.buckets[self.width - (self.owner ^ peer).bit_length()]
+        index = self.width - (self.owner ^ peer).bit_length()
+        bucket = self.buckets[index]
         if len(bucket.entries) >= bucket.capacity:
             return False
-        entry = PeerEntry(peer, 0, now)
-        bucket.entries.append(entry)
-        self._entries[peer] = entry
+        self.file_peers(index, (peer,), now)
         return True
+
+    def file_peers(self, index: int, peers: Sequence[int], now: int) -> None:
+        """Append fresh entries for ``peers``, stamped ``now``, to bucket ``index``.
+
+        Unchecked: the caller guarantees that every peer is distinct, new
+        to the table, not the owner, in the bucket's id range, and that
+        they fit. ``insert_peer`` checks one peer; a sample of distinct
+        ids from the bucket's own range (``netsim.fill_table``) needs no
+        check.
+        """
+        fresh = [PeerEntry(peer, 0, now) for peer in peers]
+        self.buckets[index].entries += fresh
+        self._entries.update(zip(peers, fresh))
 
     def add_score(self, peer: int) -> None:
         """Credit a peer with one point and restore rank order; unknown peers are ignored."""

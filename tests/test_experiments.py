@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 
 import pytest
@@ -18,7 +19,8 @@ from nebcast.experiments.config import (
     load_config_file,
     parse_set_overrides,
 )
-from nebcast.experiments.runner import DISTURBANCES, RunSpec
+from nebcast.experiments import runner
+from nebcast.experiments.runner import DISTURBANCES, RunSpec, execute_run
 from nebcast.experiments.scenarios import (
     CSV_HEADER,
     _bundle,
@@ -146,6 +148,37 @@ def test_run_spec_rejects_an_empty_or_backward_schedule():
             RunSpec(**{**base, key: value})
         assert key in str(err.value)
     RunSpec(**{**base, "interval_us": 1, "total_broadcasts": 1, "horizon_us": 0})
+
+
+def test_execute_run_leaves_the_collector_as_it_found_it(monkeypatch):
+    spec = RunSpec(n_nodes=8, variant="ne", redundancy=2, rounds_per_node=1, interval_us=1000, seed=1)
+    seen = []
+    bootstrap = runner.bootstrap_topology
+
+    def watched_bootstrap(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return bootstrap(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "bootstrap_topology", watched_bootstrap)
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            execute_run(spec)
+            assert gc.isenabled() is enabled
+        # the pause already covers the bootstrap
+        assert seen == [False, False]
+
+        def failing_bootstrap(*args, **kwargs):
+            raise ConfigurationError("no overlay")
+
+        monkeypatch.setattr(runner, "bootstrap_topology", failing_bootstrap)
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            with pytest.raises(ConfigurationError, match="no overlay"):
+                execute_run(spec)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def test_grid_keys_reject_repeated_entries(tmp_path, capsys):

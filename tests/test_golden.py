@@ -9,8 +9,16 @@ digest of its counters, per-hash sends and tracker records in
 numbers are consumed changes these digests on purpose and re-pins them
 in the same change, saying why; any other digest change is a bug.
 
+Those cases stay at N<=64, where no bucket's id range is large enough
+for ``random.sample`` to take its set-based branch. The overlay case
+pins one N=2000 overlay, where the shallow buckets do: its node ids,
+profiles and every bucket's entries in order, as bootstrapped and
+again after three churn disturbances have refilled the returners'
+tables, in ``tests/golden/overlay_digests.json``.
+
 To print the digests of the current code as JSON, keyed by the file
-that pins them (to re-pin after a deliberate change of the draws):
+that pins them, the overlay digests included (to re-pin after a
+deliberate change of the draws):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -28,9 +36,12 @@ import pytest
 from nebcast.experiments.config import SCENARIO_DISTURBANCES, build_config
 from nebcast.experiments.runner import DISTURBANCES, RunSpec, execute_run
 from nebcast.experiments.scenarios import emit_results, run_scenario
+from nebcast.netsim import NetworkConfig, apply_disturbance, bootstrap_topology
+from nebcast.seeding import stream
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 RUN_DIGESTS = Path(__file__).parent / "golden" / "run_digests.json"
+OVERLAY_DIGESTS = Path(__file__).parent / "golden" / "overlay_digests.json"
 
 BASE = {"n_nodes": "64", "rounds_per_node": "1", "seed": "1"}
 
@@ -100,6 +111,31 @@ def run_digest(name: str) -> str:
     return hashlib.sha256(json.dumps(body).encode()).hexdigest()
 
 
+def _overlay_digest(nodes, profiles) -> str:
+    body = [
+        [
+            node.id, node.online, profile.region, profile.upstream_bps,
+            [[[e.peer, e.score, e.inserted_at] for e in b.entries] for b in node.table.buckets],
+        ]
+        for node, profile in zip(nodes, profiles)
+    ]
+    return hashlib.sha256(json.dumps(body).encode()).hexdigest()
+
+
+def overlay_digests() -> dict[str, str]:
+    """Digests of the N=2000 seed-1 overlay, bootstrapped and after three churn rounds.
+
+    The streams are the ones ``execute_run`` gives repeat 0 of seed 1.
+    """
+    nodes, profiles = bootstrap_topology(NetworkConfig(n_nodes=2000), stream(1, "topology", 0))
+    digests = {"n2000-seed1": _overlay_digest(nodes, profiles)}
+    disturb_rng = stream(1, "disturb", 0)
+    for k in range(1, 4):
+        apply_disturbance(nodes, disturb_rng, profiles, now=k * 60_000_000)
+    digests["n2000-seed1-churn3"] = _overlay_digest(nodes, profiles)
+    return digests
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_golden_digests(name, tmp_path):
     pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
@@ -110,6 +146,11 @@ def test_outputs_match_golden_digests(name, tmp_path):
 def test_run_counters_match_golden_digests(name):
     pinned = json.loads(RUN_DIGESTS.read_text(encoding="utf-8"))
     assert run_digest(name) == pinned[name]
+
+
+def test_wide_overlay_matches_golden_digests():
+    pinned = json.loads(OVERLAY_DIGESTS.read_text(encoding="utf-8"))
+    assert overlay_digests() == pinned
 
 
 def test_golden_cases_are_all_pinned():
@@ -131,5 +172,6 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = {name: case_digests(name, Path(tmp) / name) for name in sorted(CASES)}
     runs = {name: run_digest(name) for name in sorted(RUN_CASES)}
-    json.dump({DIGESTS.name: digests, RUN_DIGESTS.name: runs}, sys.stdout, indent=2, sort_keys=True)
+    pins = {DIGESTS.name: digests, RUN_DIGESTS.name: runs, OVERLAY_DIGESTS.name: overlay_digests()}
+    json.dump(pins, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")

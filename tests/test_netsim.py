@@ -298,6 +298,49 @@ def test_churn_returners_fill_every_bucket_to_its_range(n, bits, capacity):
     assert returners > 0
 
 
+def _fill_by_insert(table: RoutingTable, sorted_ids: list[int], rng: Random, now: int) -> None:
+    """The per-peer fill, kept as the reference: one ``rng.sample`` of
+    positions per bucket, each id filed through ``insert_peer``."""
+    for i, bucket in enumerate(table.buckets):
+        a, b = netsim._bucket_slice(sorted_ids, table.owner, i, table.width)
+        for j in rng.sample(range(a, b), min(bucket.capacity, b - a)):
+            assert table.insert_peer(sorted_ids[j], now)
+
+
+@pytest.mark.parametrize("n,bits,capacity", [(2000, 16, 15), (300, 12, 7), (16, 4, 3)])
+def test_fill_table_files_what_the_per_peer_fill_files(n, bits, capacity):
+    # at N=2000 the shallow buckets span far more than 85 ids, where
+    # random.sample switches to its set-based branch
+    ids = sample_ids(n, bits, Random(n))
+    sorted_ids = sorted(ids)
+    for owner in ids[:40]:
+        fast, slow = RoutingTable(owner, bits, capacity), RoutingTable(owner, bits, capacity)
+        fast_rng, slow_rng = Random(owner), Random(owner)
+        fill_table(fast, sorted_ids, fast_rng, 7)
+        _fill_by_insert(slow, sorted_ids, slow_rng, 7)
+        assert fast_rng.getstate() == slow_rng.getstate()
+        for fb, sb in zip(fast.buckets, slow.buckets):
+            assert [(e.peer, e.score, e.inserted_at) for e in fb.entries] == [
+                (e.peer, e.score, e.inserted_at) for e in sb.entries
+            ]
+        filed = [e for b in fast.buckets for e in b.entries]
+        assert len(fast) == len(filed) and all(fast.entry_for(e.peer) is e for e in filed)
+
+
+def test_fill_table_rejects_a_table_that_is_not_empty():
+    ids = sample_ids(20, 6, Random(2))
+    table = RoutingTable(ids[0], 6, 3)
+    fill_table(table, sorted(ids), Random(1), 0)
+    rng = Random(1)
+    state = rng.getstate()
+    with pytest.raises(ConfigurationError, match="empty table"):
+        fill_table(table, sorted(ids), rng, 5)
+    assert rng.getstate() == state
+    table.clear()
+    fill_table(table, sorted(ids), rng, 5)
+    _assert_filled(table, ids, 3)
+
+
 def _offer_everyone(table: RoutingTable, ids: list[int], rng: Random) -> None:
     """The earlier fill rule, kept as the reference law: offer every other
     id in a uniform shuffle and keep what the buckets accept."""

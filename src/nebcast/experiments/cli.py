@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from ..errors import ConfigurationError
 from .config import PROFILES, SCENARIOS, build_config, load_config_file, parse_set_overrides
@@ -58,6 +59,12 @@ def _cmd_simulate(args) -> int:
         file_values=file_values,
         overrides=overrides,
     )
+    # an unusable --out fails before the grid runs, not after
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot write results to {args.out}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"scenario {cfg.scenario}: n={cfg.n_nodes} seed={cfg.seed} repeats={cfg.repeats}")
     bundle = run_scenario(cfg)
     try:

@@ -10,7 +10,7 @@ scenario defaults, then a named profile, then the config file, then
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -34,14 +34,10 @@ SCENARIOS = tuple(SCENARIO_DISTURBANCES)
 VARIANTS = ("baseline", "ne")
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+@dataclass(frozen=True, kw_only=True)
+class ScenarioConfig(NetworkConfig):
     scenario: str
     n_nodes: int = 200
-    address_bits: int = 16
-    bucket_capacity: int = 15
-    data_msg_bytes: int = 128
-    confirm_msg_bytes: int = 20
     betas: tuple[int, ...] = (1, 2, 3, 4)
     fanouts: tuple[int, ...] = (1, 2, 3, 4, 6, 8)
     interval_ms: int = 50
@@ -55,16 +51,12 @@ class ScenarioConfig:
     horizon_s: int | None = None
     seed: int = 1
 
-    def validate(self) -> "ScenarioConfig":
+    def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigurationError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.n_nodes < 2:
             raise ConfigurationError(f"n_nodes must be at least 2, got {self.n_nodes}")
-        # the network sizes follow NetworkConfig's rules
-        NetworkConfig(
-            self.n_nodes, self.address_bits, self.bucket_capacity,
-            self.data_msg_bytes, self.confirm_msg_bytes,
-        )
+        super().__post_init__()
         if not self.betas or any(b < 1 for b in self.betas):
             raise ConfigurationError(f"betas must be positive integers, got {self.betas}")
         if not self.fanouts or any(f < 1 for f in self.fanouts):
@@ -95,7 +87,6 @@ class ScenarioConfig:
             raise ConfigurationError("flood_check_broadcasts must be nonnegative")
         if self.horizon_s is not None and self.horizon_s < 1:
             raise ConfigurationError(f"horizon_s must be positive when set, got {self.horizon_s}")
-        return self
 
 
 # per-scenario defaults layered over the dataclass defaults
@@ -121,13 +112,7 @@ PROFILES: dict[str, dict] = {
 # nested config-file section -> flat dataclass field
 SECTION_FIELDS: dict[str, tuple[str, ...]] = {
     "": ("scenario", "seed"),
-    "network": (
-        "n_nodes",
-        "address_bits",
-        "bucket_capacity",
-        "data_msg_bytes",
-        "confirm_msg_bytes",
-    ),
+    "network": tuple(f.name for f in fields(NetworkConfig)),
     "broadcast": ("betas", "fanouts", "interval_ms", "rounds_per_node"),
     "experiment": (
         "repeats",
@@ -268,8 +253,7 @@ def build_config(
         if key == "scenario":
             continue
         values[key] = _coerce(key, raw)
-    cfg = ScenarioConfig(**values)
-    return cfg.validate()
+    return ScenarioConfig(**values)
 
 
 def config_as_dict(cfg: ScenarioConfig) -> dict:

@@ -21,21 +21,16 @@ from ..seeding import stream
 DISTURBANCES = ("none", "churn_once", "churn_periodic", "refuse_half")
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """Everything one engine run depends on."""
+@dataclass(frozen=True, kw_only=True)
+class RunSpec(NetworkConfig):
+    """Everything one engine run depends on; the network sizes are NetworkConfig's."""
 
-    n_nodes: int
     variant: str  # baseline | ne | gossip
     redundancy: int  # beta, or fanout for gossip
     rounds_per_node: int
     interval_us: int
     seed: int
     repeat: int = 0
-    address_bits: int = 16
-    bucket_capacity: int = 15
-    data_msg_bytes: int = 128
-    confirm_msg_bytes: int = 20
     disturbance: str = "none"  # one of DISTURBANCES
     disturbance_period_us: int = 60_000_000
     refuse_withholds_confirms: bool = False
@@ -46,6 +41,7 @@ class RunSpec:
     count_per_hash: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         for name in ("rounds_per_node", "interval_us"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -115,15 +111,8 @@ def execute_run(spec: RunSpec) -> RunResult:
 
 
 def _build_and_run(spec: RunSpec) -> RunResult:
-    net = NetworkConfig(
-        n_nodes=spec.n_nodes,
-        address_bits=spec.address_bits,
-        bucket_capacity=spec.bucket_capacity,
-        data_msg_bytes=spec.data_msg_bytes,
-        confirm_msg_bytes=spec.confirm_msg_bytes,
-    )
     topo_rng = stream(spec.seed, "topology", spec.repeat)
-    nodes, profiles = bootstrap_topology(net, topo_rng, require_full_reach=spec.require_full_reach)
+    nodes, profiles = bootstrap_topology(spec, topo_rng, require_full_reach=spec.require_full_reach)
 
     if spec.variant == "gossip":
         for node in nodes:
@@ -145,7 +134,7 @@ def _build_and_run(spec: RunSpec) -> RunResult:
     engine = Engine(
         nodes,
         profiles,
-        net,
+        spec,
         proto_rng,
         variant=spec.variant,
         beta=spec.redundancy,

@@ -219,7 +219,6 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     contents as a static neighbor list. The fault-free audit adds the
     checks of ``_audit_checks``.
     """
-    cfg.validate()
     if cfg.scenario == "gossip_sweep":
         cells, rows, _ = _grid(cfg, ("gossip",), cfg.fanouts)
         if cfg.flood_check_broadcasts > 0:

@@ -47,3 +47,21 @@ def test_traced_churn_round_passes_its_checks(tmp_path):
     assert rnd.n_runs == workload.sims_per_round == 2
     assert tracer.calls["netsim.commit"] > 0
     assert tracer.in_flight_high_water > 0
+
+
+def test_wide_bootstrap_round_passes_its_overlay_checks(tmp_path):
+    # the execute_run path: RunSpecs built from the workload's keywords,
+    # whose overlays the probe checks against their address_bits and
+    # bucket_capacity
+    base = WORKLOADS["wide_bootstrap"]
+    workload = replace(base, spec={**base.spec, "n_nodes": 64, "total_broadcasts": 4})
+    probe = Probe()
+    probe.check_overlays = True
+    patches = Patches()
+    probe.install(patches)
+    try:
+        rnd = run_round(workload, 1, tmp_path, probe)
+    finally:
+        patches.restore()
+    assert rnd.problems == []
+    assert rnd.n_runs == workload.sims_per_round == 2

@@ -5,10 +5,12 @@ from __future__ import annotations
 import csv
 import gc
 import json
+from dataclasses import replace
 
 import pytest
 
 from nebcast.errors import ConfigurationError
+from nebcast.experiments import cli
 from nebcast.experiments.cli import main
 from nebcast.experiments.config import (
     PROFILES,
@@ -116,7 +118,7 @@ def test_scenario_disturbance_pairing_is_enforced():
 
 def test_run_spec_rejects_unknown_disturbance_and_idle_period():
     # the benchmark and the tests build RunSpecs directly, past
-    # ScenarioConfig.validate; a misspelled disturbance used to run
+    # ScenarioConfig's checks; a misspelled disturbance used to run
     # fault-free, and a churn_periodic period below 1 μs would never
     # advance the loop that schedules the disturbances (so no run here)
     base = dict(n_nodes=16, variant="baseline", redundancy=1, rounds_per_node=1,
@@ -148,6 +150,22 @@ def test_run_spec_rejects_an_empty_or_backward_schedule():
             RunSpec(**{**base, key: value})
         assert key in str(err.value)
     RunSpec(**{**base, "interval_us": 1, "total_broadcasts": 1, "horizon_us": 0})
+
+
+def test_configs_check_the_network_sizes_when_built():
+    # RunSpec and ScenarioConfig take the sizes and their checks from
+    # NetworkConfig, so a bad size fails before execute_run starts
+    base = dict(n_nodes=16, variant="ne", redundancy=2, rounds_per_node=1,
+                interval_us=50_000, seed=1)
+    bad = [("address_bits", 0), ("bucket_capacity", 6), ("data_msg_bytes", -1), ("n_nodes", 0)]
+    for key, value in bad:
+        with pytest.raises(ConfigurationError) as err:
+            RunSpec(**{**base, key: value})
+        assert key in str(err.value)
+    # a replaced config is checked again
+    with pytest.raises(ConfigurationError) as err:
+        replace(build_config(scenario="latency"), repeats=0)
+    assert "repeats" in str(err.value)
 
 
 def test_execute_run_leaves_the_collector_as_it_found_it(monkeypatch):
@@ -435,9 +453,14 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys):
     assert not (tmp_path / "y").exists()
 
 
-def test_cli_reports_unwritable_output(tmp_path, capsys):
+def test_cli_reports_unwritable_output(tmp_path, capsys, monkeypatch):
     blocker = tmp_path / "occupied"
     blocker.write_text("not a directory", encoding="utf-8")
+
+    def no_run(cfg):
+        raise AssertionError("the grid ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
     code = main(
         [
             "simulate",
@@ -491,7 +514,10 @@ def test_cli_audit_catches_config_errors(capsys):
 
 
 def test_run_scenario_rejects_unknown():
-    cfg = _tiny_audit_config()
-    object.__setattr__(cfg, "scenario", "mystery")
-    with pytest.raises(ConfigurationError):
-        run_scenario(cfg)
+    # a config naming an unknown scenario cannot be built, so none reaches run_scenario
+    with pytest.raises(ConfigurationError) as err:
+        ScenarioConfig(scenario="mystery")
+    assert "mystery" in str(err.value)
+    with pytest.raises(ConfigurationError) as err:
+        replace(_tiny_audit_config(), scenario="mystery")
+    assert "mystery" in str(err.value)

@@ -16,7 +16,7 @@ import pytest
 
 from nebcast import netsim
 from nebcast.errors import ConfigurationError
-from nebcast.experiments.runner import RunSpec, execute_run
+from nebcast.experiments.runner import RunSpec
 from nebcast.metrics import BroadcastTracker
 from nebcast.netsim import (
     BANDWIDTH_CLASSES,
@@ -242,15 +242,14 @@ def test_network_config_validation():
 
 def test_negative_message_size_fails_before_the_run():
     # a negative size frees the upstream before the send starts, so
-    # copies would arrive before they are sent; execute_run builds a
-    # NetworkConfig from the RunSpec, which must reject it
+    # copies would arrive before they are sent; a RunSpec is a
+    # NetworkConfig, so it rejects the size when it is built
     for key in ("data_msg_bytes", "confirm_msg_bytes"):
-        spec = RunSpec(
-            n_nodes=16, variant="ne", redundancy=2, rounds_per_node=1,
-            interval_us=50_000, seed=1, **{key: -4000},
-        )
         with pytest.raises(ConfigurationError) as err:
-            execute_run(spec)
+            RunSpec(
+                n_nodes=16, variant="ne", redundancy=2, rounds_per_node=1,
+                interval_us=50_000, seed=1, **{key: -4000},
+            )
         assert key in str(err.value)
 
 

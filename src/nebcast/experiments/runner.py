@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from ..metrics import BroadcastTracker, MessageRec, latency
-from ..netsim import Engine, NetworkConfig, assign_refusers, bootstrap_topology
+from ..netsim import Engine, NetworkConfig, assign_refusers, bootstrap_topology, check_protocol
 from ..seeding import stream
 
 DISTURBANCES = ("none", "churn_once", "churn_periodic", "refuse_half")
@@ -42,6 +42,7 @@ class RunSpec(NetworkConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        check_protocol(self.variant, self.redundancy)
         for name in ("rounds_per_node", "interval_us"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be at least 1, got {getattr(self, name)}")

@@ -19,25 +19,31 @@ with every queued packet whose transmission had not started yet, and
 returning nodes rebuild from scratch the same way the initial
 bootstrap did (``fill_table``), blind to who is online. A send queued
 to start at or after the next disturbance waits on the heap as a
-``HELD`` event at that disturbance's time, so the sender's fate is
-known before the send is committed.
+``HELD`` event at that disturbance's time, with its own sequence
+number, so the sender's fate is known before the send is committed:
+it is lost with the queue if its sender went down, held again if it
+would start at or after the following disturbance, and committed as
+queued otherwise.
 
 One rule decides a copy's fate, when it is sent and when it lands: it
 is dropped if its target is offline, a duplicate if the target already
 holds its hash, and new otherwise; only a new copy is a receipt. A
-duplicate changes nothing except at a tree broadcast's source, where a
-confirmation settles its ticket's vote. Tables never learn from
-traffic: ``fill_table`` leaves every bucket full or holding its whole
-id range, and nothing evicts, so there is no room to adopt a sender.
+duplicate changes nothing unless it is a confirmation, which goes only
+to its broadcast's source, always a holder, to settle its ticket's
+vote. No data copy returns to a tree broadcast's source, as relays
+forward only into buckets deeper than the one they share with their
+sender, and gossip confirms nothing. Tables never learn from traffic:
+``fill_table`` leaves every bucket full or holding its whole id range,
+and nothing evicts, so there is no room to adopt a sender.
 
 A copy whose fate is fixed when it is sent is settled then and never
 enters the heap: it lands before the next pending disturbance and no
-later than the horizon, and is a drop, or a duplicate away from the
-broadcast's source (in gossip, anywhere). This is exact: liveness
-changes only at disturbances, which pop before any delivery of the
-same time, and while a copy of a hash is on the heap the set of nodes
-holding that hash only grows between disturbances. Each settled send
-still takes its sequence number, so every other event keeps its order.
+later than the horizon, and is a drop or a duplicate data copy. This
+is exact: liveness changes only at disturbances, which pop before any
+delivery of the same time, and while a copy of a hash is on the heap
+the set of nodes holding that hash only grows between disturbances.
+Each settled send still takes its sequence number, so every other
+event keeps its order.
 
 Per-broadcast state lasts only while its broadcast is in flight. The
 engine keeps, per live hash, the nodes that hold it and its copies on
@@ -299,13 +305,25 @@ def _online_mask(nodes: list[NodeState]) -> int:
     return mask
 
 
+def check_protocol(variant: str, redundancy: int) -> None:
+    """Reject an unknown variant and fewer than one relay per bucket (or gossip target)."""
+    if variant not in ("baseline", "ne", "gossip"):
+        raise ConfigurationError(f"variant must be baseline, ne, or gossip, got {variant!r}")
+    if redundancy < 1:
+        raise ConfigurationError(f"redundancy must be at least 1, got {redundancy}")
+
+
 class Engine:
     """The event loop for one simulation run.
 
     Owns the heap, the clock, and all transmission bookkeeping; routing
     and protocol decisions stay in the protocol module and come back as
-    send intents. ``collect_log=True`` records every event for audits;
-    experiment runs leave it off and read the counters instead.
+    send intents. ``tracker`` hears every initiation and first receipt;
+    the engine makes one when none is given. ``collect_log=True`` also
+    appends each event to ``log`` in the order the engine decides it,
+    which is not time order: a settled copy's fate (``drop_offline``, or
+    ``deliver`` of a duplicate) follows its ``send`` entry at once,
+    stamped with its arrival time. The log changes nothing else.
 
     ``variant`` is the protocol: ``baseline`` (uniform subtree relays),
     ``ne`` (rank-weighted relays with neighbor evaluation) or
@@ -313,27 +331,17 @@ class Engine:
     relays per bucket, or the gossip fanout.
 
     A transmission is committed (scheduled, counted, logged as
-    ``send``) when it is queued, unless it would start at or after the
-    next pending disturbance. Such a send goes onto the heap as a
-    ``HELD`` event at that disturbance's time and keeps its own
-    sequence number. Every disturbance is pushed before ``run``, so it
-    pops before the held sends of its time. When a held send pops, it
-    is lost with the queue if its sender went down (logged as
-    ``queue_lost``), held again if it would start at or after the
-    following disturbance, and committed as queued otherwise.
+    ``send``) when it is queued, unless it is held for a disturbance
+    (see the module docstring; a held send lost with its queue is
+    logged as ``queue_lost``). Every disturbance is pushed before
+    ``run``, so it pops before the held sends of its time.
 
-    A popped duplicate skips the protocol, except at a tree broadcast's
-    source, where it passes through ``handle_message`` for its vote.
-
-    Committing settles a delivery whose outcome is already fixed (see
-    the module docstring) by counting it in ``dropped_offline`` or
-    ``duplicates`` at once. The tree protocols settle nothing at β = 1
-    while every node is online: the relay scopes then partition the id
-    space (see the ``protocol`` docstring), so data copies never
-    overlap, and the check costs one comparison per send. A collected log keeps every
-    delivery on the heap, so the log stays in time order. ``now`` ends
-    at the last event actually popped, which a settled delivery never
-    is.
+    Committing settles a delivery whose fate is already fixed (see the
+    module docstring) by counting it in ``dropped_offline`` or
+    ``duplicates`` at once; ``now`` ends at the last event actually
+    popped, which a settled delivery never is. A popped duplicate skips
+    the protocol unless it is a confirmation, which passes through
+    ``handle_message`` at its source for its vote.
 
     ``holders`` maps each live hash to the indices of the nodes holding
     it (the initiator, then each new copy's target before that copy's
@@ -364,10 +372,7 @@ class Engine:
     ):
         if len(nodes) != len(profiles):
             raise ConfigurationError("every node needs exactly one net profile")
-        if variant not in ("baseline", "ne", "gossip"):
-            raise ConfigurationError(f"variant must be baseline, ne, or gossip, got {variant!r}")
-        if beta < 1:
-            raise ConfigurationError(f"redundancy must be at least 1, got {beta}")
+        check_protocol(variant, beta)
         self.nodes = nodes
         self.profiles = profiles
         self.config = config
@@ -377,7 +382,7 @@ class Engine:
         self.gossip = variant == "gossip"
         self.refuse_withholds = refuse_withholds_confirms
         self.disturb_rng = disturb_rng
-        self.tracker = tracker
+        self.tracker = BroadcastTracker(len(nodes)) if tracker is None else tracker
         self.initiate_order = list(range(len(nodes))) if initiate_order is None else initiate_order
         self.log: list[tuple] | None = [] if collect_log else None
         self.per_hash_sends: dict[int, int] | None = {} if count_per_hash else None
@@ -415,6 +420,8 @@ class Engine:
         self.seq += 1
 
     def push_disturbance(self, t: int) -> None:
+        if self.disturb_rng is None:
+            raise ConfigurationError("a disturbance needs the engine's disturb_rng")
         heappush(self.heap, (t, self.seq, DISTURB, 0, None))
         heappush(self.disturb_times, t)
         self.seq += 1
@@ -429,48 +436,42 @@ class Engine:
         arrival: int,
         seq: int,
     ) -> None:
-        """Schedule one transmission's arrival, or settle it; count it, and log it."""
-        if arrival < self.settle_before:
-            target = self.nodes[ti]
-            if not target.online:
-                self.dropped_offline += 1
-            elif ti in self.holders[sm.hash] and (self.gossip or target.id != sm.source):
-                self.duplicates += 1
-            else:
-                heappush(self.heap, (arrival, seq, DELIVER, ti, sm))
-                self.copies[sm.hash] += 1
-        else:
-            heappush(self.heap, (arrival, seq, DELIVER, ti, sm))
-            self.copies[sm.hash] += 1
+        """Count and log one transmission; settle its copy if its fate is fixed, else schedule it."""
+        h = sm.hash
         if sm.is_confirmation:
             self.confirm_sends += 1
         else:
             self.data_sends += 1
             if self.per_hash_sends is not None:
-                self.per_hash_sends[sm.hash] = self.per_hash_sends.get(sm.hash, 0) + 1
-        if self.log is not None:
-            self.log.append(
+                self.per_hash_sends[h] = self.per_hash_sends.get(h, 0) + 1
+        log = self.log
+        if log is not None:
+            log.append(
                 (
-                    "send", t, sender.id, self.nodes[ti].id, sm.hash,
+                    "send", t, sender.id, self.nodes[ti].id, h,
                     sm.size, sm.is_confirmation, start, arrival, sm.relay,
                 )
             )
+        if arrival < self.settle_before:
+            target = self.nodes[ti]
+            if not target.online:
+                self.dropped_offline += 1
+                if log is not None:
+                    log.append(("drop_offline", arrival, target.id, h))
+                return
+            if ti in self.holders[h] and not sm.is_confirmation:
+                self.duplicates += 1
+                if log is not None:
+                    log.append(("deliver", arrival, target.id, h, sm.sender, False, False))
+                return
+        heappush(self.heap, (arrival, seq, DELIVER, ti, sm))
+        self.copies[h] += 1
 
     def _retire(self, h: int, source_id: int) -> None:
         """Drop the state of broadcast ``h``, whose last copy has landed."""
         del self.copies[h]
         del self.holders[h]
         self.tickets_orphaned += len(self.nodes[self.idx_of[source_id]].tickets.pop(h, ()))
-
-    def _settle_limit(self, next_disturb: int, horizon_us: int | None) -> int:
-        """The time before which a delivery may be settled when sent; -1 for none."""
-        if self.log is not None:
-            return -1
-        if self.beta == 1 and not self.gossip and all(node.online for node in self.nodes):
-            return -1
-        if horizon_us is not None and horizon_us < next_disturb:
-            return horizon_us + 1
-        return next_disturb
 
     def run(self, horizon_us: int | None = None) -> None:
         """Drain the heap, or stop (flag truncated) past the horizon."""
@@ -496,12 +497,13 @@ class Engine:
         holders = self.holders
         next_disturb = dtimes[0] if dtimes else _NEVER
         online_mask = _online_mask(nodes)
-        self.settle_before = self._settle_limit(next_disturb, horizon_us)
+        horizon = _NEVER if horizon_us is None else horizon_us
+        self.settle_before = min(next_disturb, horizon + 1)
 
         while heap:
             event = pop(heap)
             t = event[0]
-            if horizon_us is not None and t > horizon_us:
+            if t > horizon:
                 push(heap, event)
                 self.truncated = True
                 break
@@ -515,24 +517,22 @@ class Engine:
                 copies[h] -= 1
                 source = m.source
                 node = nodes[di]
+                sends = ()
                 if not node.online:
                     self.dropped_offline += 1
                     if log is not None:
                         log.append(("drop_offline", t, node.id, h))
-                    sends = ()
                 elif di in holders[h]:
-                    if node.id == source and not gossip:
-                        # a confirmation settles its ticket's vote, once
+                    if m.is_confirmation:
+                        # at its source: settle its ticket's vote, once
                         handle_message(node, m, beta, ne, rng, t, confirm_size, withholds, log)
                     self.duplicates += 1
                     if log is not None:
                         log.append(("deliver", t, node.id, h, m.sender, False, m.is_confirmation))
-                    sends = ()
                 else:
                     holders[h].add(di)
                     self.accepted += 1
-                    if tracker is not None:
-                        tracker.receive(h, t, not node.refuses_relay, di)
+                    tracker.receive(h, t, not node.refuses_relay, di)
                     if gossip:
                         sends = gossip_handle(node, m, beta, rng)
                     else:
@@ -554,8 +554,7 @@ class Engine:
                 self.next_hash = h + 1
                 if di < 0:
                     scheduled = order[slot % count]
-                    if tracker is not None:
-                        tracker.initiate_skipped(h, scheduled, t)
+                    tracker.initiate_skipped(h, scheduled, t)
                     if log is not None:
                         log.append(("initiate_skipped", t, nodes[scheduled].id, h))
                     continue
@@ -563,8 +562,7 @@ class Engine:
                 source = node.id
                 copies[h] = 0
                 holders[h] = {di}
-                if tracker is not None:
-                    tracker.initiate(h, di, t, not node.refuses_relay, online_mask)
+                tracker.initiate(h, di, t, not node.refuses_relay, online_mask)
                 if log is not None:
                     log.append(("initiate", t, node.id, h))
                 if gossip:
@@ -580,7 +578,7 @@ class Engine:
                 self.tickets_lost += apply_disturbance(nodes, self.disturb_rng, profiles, t, log)
                 online_mask = _online_mask(nodes)
                 next_disturb = dtimes[0] if dtimes else _NEVER
-                self.settle_before = self._settle_limit(next_disturb, horizon_us)
+                self.settle_before = min(next_disturb, horizon + 1)
                 continue
 
             else:

@@ -20,8 +20,7 @@ All operations are pure state transitions: they mutate only the given
 node and return send intents ``(destination id, message)`` for the
 network layer to schedule. Nothing here knows about time-of-flight,
 bandwidth, or liveness, nor records who holds a hash: the engine does,
-per broadcast, and calls in here only for a new copy or a copy at its
-source.
+per broadcast, and calls in here only for a new copy or a confirmation.
 """
 
 from __future__ import annotations
@@ -145,12 +144,12 @@ def handle_message(
     """Process one delivered message and return the send intents it causes.
 
     The engine calls this only for a hash the receiver does not hold
-    yet, or at the message's source, which always holds it; any other
-    copy is a duplicate that the engine counts without calling here.
-    At the source the step is vote settlement. Elsewhere the steps run
-    in a fixed order: scoring of the sender, confirmation toward the
-    source, refusal cut-off, and finally subtree relaying into buckets
-    deeper than the one shared with the sender.
+    yet, or for a confirmation, which reaches only its broadcast's
+    source, where the step is vote settlement; any other copy is a
+    duplicate that the engine counts without calling here. Elsewhere the
+    steps run in a fixed order: scoring of the sender, confirmation
+    toward the source, refusal cut-off, and finally subtree relaying
+    into buckets deeper than the one shared with the sender.
 
     Score events and consumed tickets are appended to ``events`` when a
     list is supplied; the hot path skips that bookkeeping entirely.

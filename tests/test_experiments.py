@@ -134,6 +134,14 @@ def test_run_spec_rejects_unknown_disturbance_and_idle_period():
         RunSpec(**base, disturbance=disturbance)
     # only periodic churn reads the period
     RunSpec(**base, disturbance="churn_once", disturbance_period_us=0)
+    # the engine's protocol check runs when the spec is built, before
+    # any bootstrap
+    for key, value in (("variant", "flood"), ("redundancy", 0), ("redundancy", -2)):
+        with pytest.raises(ConfigurationError) as err:
+            RunSpec(**{**base, key: value})
+        assert key in str(err.value)
+    for variant in ("baseline", "ne", "gossip"):
+        RunSpec(**{**base, "variant": variant})
 
 
 def test_run_spec_rejects_an_empty_or_backward_schedule():

@@ -38,6 +38,7 @@ from nebcast.identity import sample_ids
 from nebcast.protocol import DATA_BYTES, NodeState
 from nebcast.routing import RoutingTable
 from nebcast.seeding import stream
+from reference_engine import ReferenceEngine, assert_same_run
 
 
 def _config(n: int, bits: int = 16, capacity: int = 15) -> NetworkConfig:
@@ -222,6 +223,15 @@ def test_engine_rejects_unknown_variant_and_bad_beta():
             Engine(nodes, profiles, config, Random(1), variant=variant, beta=0)
     with pytest.raises(ConfigurationError):
         Engine(nodes, profiles, config, Random(1), variant="flood")
+
+
+def test_disturbance_needs_a_disturb_rng():
+    # the disturbance would otherwise fail mid-run, when it fires
+    nodes, profiles, config = _network(4, seed=1)
+    engine = Engine(nodes, profiles, config, Random(1))
+    with pytest.raises(ConfigurationError, match="disturb_rng"):
+        engine.push_disturbance(0)
+    assert not engine.heap and not engine.disturb_times and engine.seq == 0
 
 
 def test_network_config_validation():
@@ -552,6 +562,7 @@ def _scheduled_engine(
     collect_log: bool = True,
     refuse: bool = False,
     gaps: bool = False,
+    reference: bool = False,
 ) -> Engine:
     """An engine over a bootstrapped overlay with its broadcasts and disturbances pushed.
 
@@ -559,7 +570,9 @@ def _scheduled_engine(
     last entry of every bucket after the bootstrap, so that some
     senders are missing from their targets' tables; a filled bucket is
     otherwise full or holds its whole id range. The tracker also lists
-    every first receipt.
+    every first receipt, and the engine counts data sends per hash.
+    ``reference`` builds a ``ReferenceEngine`` instead, which keeps no
+    log.
     """
     config = _config(n, capacity=capacity)
     nodes, profiles = bootstrap_topology(config, stream(seed, "topology", 0))
@@ -574,7 +587,8 @@ def _scheduled_engine(
     if variant == "gossip":
         for node in nodes:
             node.neighbors = list(node.table.scores())
-    engine = Engine(
+    extra = {} if reference else dict(collect_log=collect_log, count_per_hash=True)
+    engine = (ReferenceEngine if reference else Engine)(
         nodes,
         profiles,
         config,
@@ -583,7 +597,7 @@ def _scheduled_engine(
         beta=beta,
         disturb_rng=stream(seed, "disturb", 0),
         tracker=_ReceiptTracker(n),
-        collect_log=collect_log,
+        **extra,
     )
     for t in churn_at or []:
         engine.push_disturbance(t)
@@ -634,16 +648,8 @@ SETTLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(SETTLE_CASES))
-def test_settling_deliveries_when_sent_changes_no_outcome(case, monkeypatch):
-    # a collected log keeps every delivery on the heap; without one,
-    # decided drops and duplicates are settled when sent. Both runs must
-    # end in the same counters, records, first receipts, holders,
-    # tickets and tables.
-    # The gaps leave senders missing from their targets' tables, so a
-    # duplicate from an unknown sender is settled as well: the rule asks
-    # only whether the target holds the hash.
-    kwargs = SETTLE_CASES[case]
+def _count_deliveries_pushed(monkeypatch) -> Counter:
+    """Count, per heap, the deliveries the engine pushes from now on."""
     queued = Counter()
 
     def counting_push(heap, event):
@@ -652,12 +658,55 @@ def test_settling_deliveries_when_sent_changes_no_outcome(case, monkeypatch):
         heappush(heap, event)
 
     monkeypatch.setattr(netsim, "heappush", counting_push)
-    logged = _run_engine(**kwargs)
+    return queued
+
+
+@pytest.mark.parametrize("case", list(SETTLE_CASES))
+def test_settling_deliveries_when_sent_changes_no_outcome(case, monkeypatch):
+    # the engine settles decided drops and duplicates when sent; the
+    # reference engine puts every copy on its heap and judges it when it
+    # lands. Both runs must end in the same counters, sends, records,
+    # first receipts, tickets and tables, and the engine must hold what
+    # the reference holds for the hashes still in flight.
+    # The gaps leave senders missing from their targets' tables, so a
+    # duplicate from an unknown sender is settled as well: the rule asks
+    # only whether the target holds the hash.
+    kwargs = SETTLE_CASES[case]
+    queued = _count_deliveries_pushed(monkeypatch)
     settled = _run_engine(**kwargs, collect_log=False)
-    assert _outcome(settled) == _outcome(logged)
+    reference = _run_engine(**kwargs, reference=True)
+    assert_same_run(settled, reference)
+    assert settled.tracker.receipts == reference.tracker.receipts
     assert settled.truncated == ("horizon_us" in kwargs)
-    # the run without a log did settle some deliveries
-    assert queued[id(settled.heap)] < queued[id(logged.heap)]
+    # the engine did settle some deliveries: the reference pushes one per send
+    assert queued[id(settled.heap)] < reference.data_sends + reference.confirm_sends
+
+
+def test_a_log_is_complete_and_changes_nothing(monkeypatch):
+    # a collected log settles what a run without one settles, and it
+    # records one fate for every send: a settled copy's right after its
+    # send, stamped with its arrival, a popped copy's when it lands
+    kwargs = SETTLE_CASES["churn-ne"]
+    queued = _count_deliveries_pushed(monkeypatch)
+    logged = _run_engine(**kwargs)
+    plain = _run_engine(**kwargs, collect_log=False)
+    assert _outcome(logged) == _outcome(plain)
+    assert queued[id(logged.heap)] == queued[id(plain.heap)] > 0
+    assert not logged.truncated and logged.duplicates and logged.dropped_offline
+    # (target, hash, arrival) of each send, and of each fate
+    sent = Counter((e[3], e[4], e[8]) for e in logged.log if e[0] == "send")
+    fates = Counter((e[2], e[3], e[1]) for e in logged.log if e[0] in ("deliver", "drop_offline"))
+    assert sent == fates
+    assert sum(fates.values()) == logged.accepted + logged.duplicates + logged.dropped_offline
+    # each copy that was not pushed, a drop or a data duplicate, has its
+    # fate right after its send
+    right_after = sum(
+        1 for send, fate in zip(logged.log, logged.log[1:])
+        if send[0] == "send" and fate[0] in ("deliver", "drop_offline")
+        and (fate[2], fate[3], fate[1]) == (send[3], send[4], send[8])
+        and not (fate[0] == "deliver" and (fate[5] or fate[6]))
+    )
+    assert right_after == sum(sent.values()) - queued[id(logged.heap)] > 0
 
 
 def test_empty_queue_runs_to_empty_log():

@@ -265,11 +265,14 @@ def _engine(nodes: list[NodeState], variant: str) -> Engine:
 def _deliver(engine: Engine, index: int, m: Message, times: list[int]) -> None:
     """Deliver a copy of ``m`` to node ``index`` at each of ``times``, then drain the engine.
 
-    The hash is opened as at its initiation, held by its source, and
-    each copy is counted as on the heap, so the hash stays live until
-    the last of them, and whatever it causes, has landed.
+    The hash is opened as at its initiation, at the first time: held by
+    its source, with its tracker record. Each copy is counted as on the
+    heap, so the hash stays live until the last of them, and whatever it
+    causes, has landed.
     """
-    engine.holders.setdefault(m.hash, {engine.idx_of[m.source]})
+    source = engine.idx_of[m.source]
+    engine.holders[m.hash] = {source}
+    engine.tracker.initiate(m.hash, source, times[0])
     for t in times:
         heappush(engine.heap, (t, engine.seq, DELIVER, index, m))
         engine.seq += 1

@@ -61,12 +61,9 @@ class ScenarioConfig(NetworkConfig):
             raise ConfigurationError(f"betas must be positive integers, got {self.betas}")
         if not self.fanouts or any(f < 1 for f in self.fanouts):
             raise ConfigurationError(f"fanouts must be positive integers, got {self.fanouts}")
-        if self.interval_ms < 1:
-            raise ConfigurationError(f"interval_ms must be at least 1, got {self.interval_ms}")
-        if self.rounds_per_node < 1:
-            raise ConfigurationError(f"rounds_per_node must be at least 1, got {self.rounds_per_node}")
-        if self.repeats < 1:
-            raise ConfigurationError(f"repeats must be at least 1, got {self.repeats}")
+        for name in ("interval_ms", "rounds_per_node", "repeats"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not self.variants or any(v not in VARIANTS for v in self.variants):
             raise ConfigurationError(f"variants must draw from {VARIANTS}, got {self.variants}")
         for name in ("betas", "fanouts", "variants"):
@@ -85,6 +82,12 @@ class ScenarioConfig(NetworkConfig):
             )
         if self.flood_check_broadcasts < 0:
             raise ConfigurationError("flood_check_broadcasts must be nonnegative")
+        flood = self.n_nodes - 1  # the flooding cell's fanout, which keys its rows
+        if self.flood_check_broadcasts and flood in self.fanouts and self.scenario == "gossip_sweep":
+            raise ConfigurationError(
+                f"fanouts must not hold {flood}, the flooding cell's fanout at"
+                f" n_nodes={self.n_nodes}: drop it or set flood_check_broadcasts to 0"
+            )
         if self.horizon_s is not None and self.horizon_s < 1:
             raise ConfigurationError(f"horizon_s must be positive when set, got {self.horizon_s}")
 

@@ -17,8 +17,10 @@ from ..errors import ConfigurationError
 from ..metrics import BroadcastTracker, MessageRec, latency
 from ..netsim import Engine, NetworkConfig, assign_refusers, bootstrap_topology, check_protocol
 from ..seeding import stream
+from .config import SCENARIO_DISTURBANCES
 
-DISTURBANCES = ("none", "churn_once", "churn_periodic", "refuse_half")
+# every disturbance some scenario runs under, in order of first appearance
+DISTURBANCES = tuple(dict.fromkeys(d for ds in SCENARIO_DISTURBANCES.values() for d in ds))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -114,13 +116,6 @@ def execute_run(spec: RunSpec) -> RunResult:
 def _build_and_run(spec: RunSpec) -> RunResult:
     topo_rng = stream(spec.seed, "topology", spec.repeat)
     nodes, profiles = bootstrap_topology(spec, topo_rng, require_full_reach=spec.require_full_reach)
-
-    if spec.variant == "gossip":
-        for node in nodes:
-            node.neighbors = [
-                entry.peer for bucket in node.table.buckets for entry in bucket.entries
-            ]
-
     disturb_rng = stream(spec.seed, "disturb", spec.repeat)
     proto_rng = stream(spec.seed, "protocol", spec.repeat, spec.variant, spec.redundancy)
     sched_rng = stream(spec.seed, "schedule", spec.repeat)

@@ -13,10 +13,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from ..metrics import coverage_percent, honest_coverage_percent, latency, online_unreceived_percent
+from ..netsim import NetworkConfig
 from .config import ScenarioConfig, config_as_dict
 from .runner import RunResult, RunSpec, broadcast_count, execute_run
 
@@ -33,17 +34,13 @@ def _percentile(sorted_values: list[int], q: float) -> int | None:
 
 def _spec_for(cfg: ScenarioConfig, variant: str, redundancy: int, repeat: int, **extra) -> RunSpec:
     return RunSpec(
-        n_nodes=cfg.n_nodes,
+        **{f.name: getattr(cfg, f.name) for f in fields(NetworkConfig)},
         variant=variant,
         redundancy=redundancy,
         rounds_per_node=cfg.rounds_per_node,
         interval_us=cfg.interval_ms * 1000,
         seed=cfg.seed,
         repeat=repeat,
-        address_bits=cfg.address_bits,
-        bucket_capacity=cfg.bucket_capacity,
-        data_msg_bytes=cfg.data_msg_bytes,
-        confirm_msg_bytes=cfg.confirm_msg_bytes,
         disturbance=cfg.disturbance,
         disturbance_period_us=cfg.disturbance_period_s * 1_000_000,
         refuse_withholds_confirms=cfg.refuse_withholds_confirmations,
@@ -215,9 +212,9 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     The gossip sweep runs over fanouts instead of betas and adds one
     flooding check cell: fanout n_nodes - 1 (met by every degree) over
     a reduced broadcast count, since one pass suffices to show the 100%
-    limit. Its gossip graph reuses each node's bootstrap routing-table
-    contents as a static neighbor list. The fault-free audit adds the
-    checks of ``_audit_checks``.
+    limit. Gossip pushes over each node's routing table, which the
+    fault-free sweep never refills after the bootstrap. The fault-free
+    audit adds the checks of ``_audit_checks``.
     """
     if cfg.scenario == "gossip_sweep":
         cells, rows, _ = _grid(cfg, ("gossip",), cfg.fanouts)

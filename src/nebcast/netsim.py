@@ -327,7 +327,7 @@ class Engine:
 
     ``variant`` is the protocol: ``baseline`` (uniform subtree relays),
     ``ne`` (rank-weighted relays with neighbor evaluation) or
-    ``gossip`` (push gossip over ``node.neighbors``). ``beta`` is the
+    ``gossip`` (push gossip over each node's routing table). ``beta`` is the
     relays per bucket, or the gossip fanout.
 
     A transmission is committed (scheduled, counted, logged as

@@ -79,7 +79,7 @@ class Message:
 class NodeState:
     """Everything one node remembers between events."""
 
-    __slots__ = ("id", "table", "tickets", "refuses_relay", "online", "neighbors")
+    __slots__ = ("id", "table", "tickets", "refuses_relay", "online")
 
     def __init__(self, id: int, table: RoutingTable, refuses_relay: bool = False):
         self.id = id
@@ -88,8 +88,6 @@ class NodeState:
         self.tickets: dict[int, set[int]] = {}
         self.refuses_relay = refuses_relay
         self.online = True
-        # static adjacency, only used by the gossip baseline
-        self.neighbors: list[int] = []
 
 
 def initiate_broadcast(
@@ -204,8 +202,8 @@ def gossip_initiate(
     rng: Random,
     msg_hash: int,
 ) -> list[tuple[int, Message]]:
-    """Start a gossip round: push to ``fanout`` random neighbors."""
-    targets = node.neighbors
+    """Start a gossip round: push to ``fanout`` random peers of the node's table."""
+    targets = list(node.table)
     if fanout < len(targets):
         targets = rng.sample(targets, fanout)
     m = Message(msg_hash, payload_size, node.id, node.id, node.id)
@@ -218,14 +216,14 @@ def gossip_handle(
     fanout: int,
     rng: Random,
 ) -> list[tuple[int, Message]]:
-    """Gossip reception: forward a new hash to random neighbors.
+    """Gossip reception: forward a new hash to random peers of the node's table.
 
     The engine calls this only for a hash the receiver does not hold
     yet and counts every other copy as a duplicate. The sender is
     excluded from the candidate set, so the effective fanout is capped
-    at degree - 1.
+    at the table's size - 1.
     """
-    candidates = [peer for peer in node.neighbors if peer != m.sender]
+    candidates = [peer for peer in node.table if peer != m.sender]
     if fanout < len(candidates):
         candidates = rng.sample(candidates, fanout)
     forwarded = Message(m.hash, m.size, m.source, m.relay, node.id)

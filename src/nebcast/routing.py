@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from random import Random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import ConfigurationError
 from .identity import check_id, check_width
@@ -73,6 +73,7 @@ class RoutingTable:
     entry always belongs at the back of its bucket. ``add_score`` then
     only needs to bubble the touched entry toward the front, which
     keeps the rank order exact without ever re-sorting a whole bucket.
+    Iterating a table yields its peer ids in the order they were filed.
     """
 
     __slots__ = ("owner", "width", "buckets", "_entries")
@@ -90,6 +91,9 @@ class RoutingTable:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._entries)
 
     def entry_for(self, peer: int) -> PeerEntry | None:
         return self._entries.get(peer)

@@ -185,9 +185,6 @@ def run_reference(spec: RunSpec) -> ReferenceEngine:
     """Run ``spec`` on the reference engine, over the network ``execute_run`` builds for it."""
     n = spec.n_nodes
     nodes, profiles = bootstrap_topology(spec, stream(spec.seed, "topology", spec.repeat))
-    if spec.variant == "gossip":
-        for node in nodes:
-            node.neighbors = [e.peer for bucket in node.table.buckets for e in bucket.entries]
     disturb_rng = stream(spec.seed, "disturb", spec.repeat)
     if spec.disturbance == "refuse_half":
         for i in disturb_rng.sample(range(n), n // 2):

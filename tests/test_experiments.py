@@ -376,6 +376,24 @@ def test_gossip_sweep_includes_flooding_cell():
     assert sweep[0] <= sweep[1]
 
 
+def test_gossip_sweep_rejects_the_flooding_cells_fanout():
+    # the flooding cell runs at fanout n_nodes - 1 and keys its rows by it,
+    # so a sweep cell of that fanout would write rows under the same key
+    overrides = {"n_nodes": "10", "fanouts": "1,9"}
+    with pytest.raises(ConfigurationError) as err:
+        build_config(scenario="gossip_sweep", overrides=overrides)
+    assert "fanouts" in str(err.value) and "flood_check_broadcasts" in str(err.value)
+    # the default fanouts hold n_nodes - 1 at these sizes
+    for n in (2, 3, 4, 5, 7, 9):
+        with pytest.raises(ConfigurationError):
+            build_config(scenario="gossip_sweep", overrides={"n_nodes": str(n)})
+    build_config(scenario="gossip_sweep", overrides={**overrides, "flood_check_broadcasts": "0"})
+    build_config(scenario="gossip_sweep", overrides={"n_nodes": "10", "fanouts": "1,8"})
+    build_config(scenario="gossip_sweep", overrides={"n_nodes": "8"})
+    # no other scenario runs a flooding cell
+    build_config(scenario="faultfree_audit", overrides=overrides)
+
+
 def test_cli_audit_exits_zero(capsys):
     assert main(["audit", "--n", "8", "--seed", "1"]) == 0
     out = capsys.readouterr().out

@@ -584,9 +584,6 @@ def _scheduled_engine(
             node.table.clear()
             for peer in kept:
                 node.table.insert_peer(peer)
-    if variant == "gossip":
-        for node in nodes:
-            node.neighbors = list(node.table.scores())
     extra = {} if reference else dict(collect_log=collect_log, count_per_hash=True)
     engine = (ReferenceEngine if reference else Engine)(
         nodes,
@@ -984,8 +981,6 @@ def test_relay_field_never_rewritten_downstream():
 def test_gossip_transmissions_exceed_tree_cost():
     config = _config(100)
     nodes, profiles = bootstrap_topology(config, stream(51, "topology", 0))
-    for node in nodes:
-        node.neighbors = [peer for peer in node.table.scores()]
     engine = Engine(nodes, profiles, config, Random(9), variant="gossip", beta=2, collect_log=False)
     engine.push_initiate(0, 0)
     engine.run()

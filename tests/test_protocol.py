@@ -46,7 +46,7 @@ def _data(h: int, source: int, relay: int, sender: int) -> Message:
 
 
 def test_initiate_one_relay_per_bucket_and_tickets_for_the_rest():
-    # source 0 in a 3-bit space with neighbors 1, 2, 3, 4, 6:
+    # source 0 in a 3-bit space with peers 1, 2, 3, 4, 6:
     # bucket 0 holds {4, 6}, bucket 1 holds {2, 3}, bucket 2 holds {1}.
     # Scoring 3 promotes it over 2, so a rank-0 draw selects 4, 3, 1
     # and leaves 6 and 2 as probes.
@@ -223,19 +223,16 @@ def test_vote_outcome_empty_batch():
 
 
 def test_gossip_initiate_and_fanout_cap():
-    node = _node(0, peers=())
-    node.neighbors = [1, 2, 3, 4]
+    node = _node(0, peers=(1, 2, 3, 4))
     sends = gossip_initiate(node, DATA_BYTES, 2, random.Random(5), 9)
     assert len(sends) == 2
     assert {dest for dest, _ in sends} <= {1, 2, 3, 4}
-    full = _node(0, peers=())
-    full.neighbors = [1, 2]
+    full = _node(0, peers=(1, 2))
     assert len(gossip_initiate(full, DATA_BYTES, 10, random.Random(5), 9)) == 2
 
 
 def test_gossip_handle_excludes_sender():
-    node = _node(5, peers=())
-    node.neighbors = [1, 2, 3]
+    node = _node(5, peers=(1, 2, 3))
     m = _data(9, source=1, relay=1, sender=1)
     sends = gossip_handle(node, m, 10, random.Random(2))
     assert {dest for dest, _ in sends} == {2, 3}  # flooding limit skips the sender
@@ -246,8 +243,7 @@ def test_gossip_handle_excludes_sender():
 def test_gossip_handle_respects_fanout():
     rng = random.Random(6)
     for trial in range(30):
-        node = _node(5, peers=())
-        node.neighbors = list(range(6, 16))
+        node = _node(5, width=4, capacity=15, peers=range(6, 16))
         m = _data(trial, source=6, relay=6, sender=6)
         sends = gossip_handle(node, m, 3, rng)
         dests = [dest for dest, _ in sends]
@@ -298,8 +294,6 @@ def test_engine_counts_a_repeated_copy_as_an_inert_duplicate():
         runs = []
         for times in ([0], [0, 100_000]):
             nodes = [_node(0, peers=(1, 4)), _node(1, peers=(0, 4)), _node(4, peers=(0, 1))]
-            for node in nodes:
-                node.neighbors = list(node.table.scores())
             nodes[1].online = False
             engine = _engine(nodes, variant)
             _deliver(engine, 0, _data(7, source=4, relay=4, sender=4), times)

@@ -6,7 +6,9 @@ agree on every counter, per-hash data sends, tracker records, final
 tables and the broadcast state still in flight. The draws cover every
 variant and disturbance, β 1-4, N 2-64, tiny id spaces and buckets,
 zero-byte messages, horizons, withheld confirmations, launch intervals
-from 1 μs to 50 ms and churn periods down to 1 μs. Derandomized and
+from 1 μs to 50 ms and churn periods down to 1 μs. About half the specs
+put every time on a grid of whole milliseconds, where sends start and
+copies land exactly at disturbances. Derandomized and
 without a database, so the examples are the same on every run and
 nothing is written to the working tree.
 """
@@ -36,15 +38,29 @@ set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "nebcast-hypothesis")
 def run_specs(draw) -> RunSpec:
     n = draw(st.integers(2, 64))
     total = draw(st.integers(1, 2 * n))
-    # round intervals and periods, with zero-byte messages and the round
-    # delays, make copies land and sends start right at disturbances
-    interval = draw(st.sampled_from((1, 1_000, 2_000, 50_000)) | st.integers(1, 50_000))
-    span = (total - 1) * interval
+    if draw(st.booleans()):
+        # a grid of whole milliseconds: launches, disturbances, delays and
+        # 128-byte data copies (2-16 ms on the wire), so sends start and
+        # copies land exactly at disturbances
+        interval = draw(st.integers(1, 50)) * 1_000
+        period = draw(st.integers(1, 64)) * 1_000
+        data_bytes = 128
+    else:
+        # round intervals and periods, with zero-byte messages and the round
+        # delays, make copies land and sends start right at disturbances
+        interval = draw(st.sampled_from((1, 1_000, 2_000, 50_000)) | st.integers(1, 50_000))
+        span = (total - 1) * interval
+        # at most about 128 disturbances within the launches
+        period = draw(
+            st.integers(1, 64).map(lambda k: k * interval)
+            | st.integers(max(1, span // 64), span + 1)
+        )
+        data_bytes = draw(st.sampled_from((0, 1, 128, 1500)))
     return RunSpec(
         n_nodes=n,
         address_bits=draw(st.integers((n - 1).bit_length(), 16)),
         bucket_capacity=draw(st.sampled_from((1, 3, 7, 15))),
-        data_msg_bytes=draw(st.sampled_from((0, 1, 128, 1500))),
+        data_msg_bytes=data_bytes,
         confirm_msg_bytes=draw(st.sampled_from((0, 20))),
         variant=draw(st.sampled_from(("baseline", "ne", "gossip"))),
         redundancy=draw(st.integers(1, 4)),
@@ -53,13 +69,9 @@ def run_specs(draw) -> RunSpec:
         interval_us=interval,
         seed=draw(st.integers(0, 1 << 16)),
         disturbance=draw(st.sampled_from(DISTURBANCES)),
-        # at most about 128 disturbances within the launches
-        disturbance_period_us=draw(
-            st.integers(1, 64).map(lambda k: k * interval)
-            | st.integers(max(1, span // 64), span + 1)
-        ),
+        disturbance_period_us=period,
         refuse_withholds_confirms=draw(st.booleans()),
-        horizon_us=draw(st.none() | st.integers(0, span + 2_000_000)),
+        horizon_us=draw(st.none() | st.integers(0, (total - 1) * interval + 2_000_000)),
         count_per_hash=True,
     )
 

@@ -3,8 +3,8 @@
 Two subcommands: ``simulate`` resolves a scenario config, runs it, and
 writes broadcasts.csv plus summary.json into --out; ``audit`` runs the
 fault-free delivery invariants at a chosen network size and prints one
-line per check. Exit codes: 0 success, 1 failed audit, 2 bad
-configuration or unwritable output, 3 run truncated by the horizon.
+line per check. Exit codes: 0 success, 1 failed audit check, 2 bad
+configuration or unwritable output, 3 run truncated (a failed check wins).
 """
 
 from __future__ import annotations
@@ -50,6 +50,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_checks(bundle: dict) -> int:
+    """Print one line per audit check in ``bundle``; return how many failed, also told on stderr."""
+    checks = bundle.get("checks", [])
+    for check in checks:
+        print(f"[{'ok' if check['passed'] else 'FAIL'}] {check['name']}: {check['detail']}")
+    failed = sum(not check["passed"] for check in checks)
+    if failed:
+        print(f"error: {failed} of {len(checks)} audit checks failed", file=sys.stderr)
+    return failed
+
+
 def _cmd_simulate(args) -> int:
     file_values = load_config_file(args.config) if args.config else None
     overrides = parse_set_overrides(args.sets)
@@ -80,10 +91,11 @@ def _cmd_simulate(args) -> int:
             f" ({cell['latency']['incomplete']} incomplete)"
         )
     print(f"wrote {csv_path} and {json_path}")
+    failed = _report_checks(bundle)
     if any(cell["truncated"] for cell in bundle["cells"]):
         print("warning: at least one run hit the horizon before draining", file=sys.stderr)
-        return EXIT_TRUNCATED
-    return EXIT_OK
+        return EXIT_AUDIT_FAILED if failed else EXIT_TRUNCATED
+    return EXIT_AUDIT_FAILED if failed else EXIT_OK
 
 
 def _cmd_audit(args) -> int:
@@ -92,14 +104,7 @@ def _cmd_audit(args) -> int:
         overrides={"n_nodes": args.n, "seed": args.seed},
     )
     bundle = run_scenario(cfg)
-    failed = 0
-    for check in bundle["checks"]:
-        status = "ok" if check["passed"] else "FAIL"
-        print(f"[{status}] {check['name']}: {check['detail']}")
-        if not check["passed"]:
-            failed += 1
-    if failed:
-        print(f"{failed} of {len(bundle['checks'])} checks failed")
+    if _report_checks(bundle):
         return EXIT_AUDIT_FAILED
     print(f"all {len(bundle['checks'])} checks passed at n={args.n}")
     return EXIT_OK

@@ -178,8 +178,11 @@ def _flatten_file(doc: dict) -> dict:
         raise ConfigurationError("config file must hold a mapping at the top level")
     flat: dict[str, object] = {}
     for key, value in doc.items():
-        if key in SECTION_FIELDS and key != "" and isinstance(value, dict):
-            for sub, subvalue in value.items():
+        if key in SECTION_FIELDS and key != "":
+            # a section whose keys are all commented out reads as null
+            if not isinstance(value, dict | None):
+                raise ConfigurationError(f"config section {key} must be a mapping, got {value!r}")
+            for sub, subvalue in (value or {}).items():
                 if sub not in SECTION_FIELDS[key]:
                     raise ConfigurationError(f"unknown config key {key}.{sub}")
                 flat[sub] = subvalue

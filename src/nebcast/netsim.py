@@ -183,7 +183,7 @@ def bootstrap_topology(
     nodes = []
     for node_id in ids:
         table = RoutingTable(node_id, config.address_bits, config.bucket_capacity)
-        fill_table(table, sorted_ids, rng, 0)
+        fill_table(table, sorted_ids, rng)
         nodes.append(NodeState(node_id, table))
     if require_full_reach and not fully_reachable(nodes, config.address_bits):
         raise ConfigurationError("bootstrap left a bucket empty although its id range is populated")
@@ -201,13 +201,13 @@ def _bucket_slice(sorted_ids: list[int], owner: int, index: int, width: int) -> 
     return bisect_left(sorted_ids, lo), bisect_left(sorted_ids, lo + (1 << span))
 
 
-def fill_table(table: RoutingTable, sorted_ids: list[int], rng: Random, now: int) -> None:
+def fill_table(table: RoutingTable, sorted_ids: list[int], rng: Random) -> None:
     """File into each bucket of an empty table a uniform ordered sample of its id range.
 
     Bucket i draws min(capacity, ids in its range) ids with one
     ``rng.sample`` over its slice of ``sorted_ids`` and files them in
-    draw order, stamped ``now``, with one ``RoutingTable.file_peers``
-    call, at O(width * log N + entries) per table. Distinct ids of the
+    draw order, at score 0, with one ``RoutingTable.file_peers`` call,
+    at O(width * log N + entries) per table. Distinct ids of the
     bucket's own range need none of ``insert_peer``'s checks. A bucket
     whose range is empty is skipped, which draws nothing, as a sample
     of none would. Offering every other id in a uniform shuffle and
@@ -226,7 +226,7 @@ def fill_table(table: RoutingTable, sorted_ids: list[int], rng: Random, now: int
     for i, bucket in enumerate(table.buckets):
         a, b = _bucket_slice(sorted_ids, owner, i, width)
         if a < b:
-            table.file_peers(i, rng.sample(sorted_ids[a:b], min(bucket.capacity, b - a)), now)
+            table.file_peers(i, rng.sample(sorted_ids[a:b], min(bucket.capacity, b - a)))
 
 
 def fully_reachable(nodes: list[NodeState], width: int) -> bool:
@@ -267,12 +267,11 @@ def apply_disturbance(
     """Re-roll every node's liveness (churn); return the open tickets lost.
 
     Node with serial s (1-indexed) fails with probability s/N, so
-    roughly half the network drops each time and high serials almost
-    always do. Fresh casualties lose their routing table, tickets, and
-    outgoing queue (the engine discards the queued packets themselves);
-    nodes coming back refill their empty table with ``fill_table`` over
-    every id, online or not, drawing from ``rng``. Survivors are
-    untouched.
+    roughly half the network drops each time and serial N always does.
+    Fresh casualties lose their routing table, tickets, and outgoing
+    queue (the engine discards the queued packets themselves); nodes
+    coming back refill their empty table with ``fill_table`` over every
+    id, online or not, drawing from ``rng``. Survivors are untouched.
     """
     n = len(nodes)
     sorted_ids = sorted(node.id for node in nodes)
@@ -290,7 +289,7 @@ def apply_disturbance(
                     log.append(("node_offline", now, node.id))
         elif not node.online:
             node.online = True
-            fill_table(node.table, sorted_ids, rng, now)
+            fill_table(node.table, sorted_ids, rng)
             if log is not None:
                 log.append(("node_online", now, node.id))
     return lost
@@ -316,7 +315,7 @@ def check_protocol(variant: str, redundancy: int) -> None:
 class Engine:
     """The event loop for one simulation run.
 
-    Owns the heap, the clock, and all transmission bookkeeping; routing
+    Owns the heap and all transmission bookkeeping; routing
     and protocol decisions stay in the protocol module and come back as
     send intents. ``tracker`` hears every initiation and first receipt;
     the engine makes one when none is given. ``collect_log=True`` also
@@ -338,10 +337,9 @@ class Engine:
 
     Committing settles a delivery whose fate is already fixed (see the
     module docstring) by counting it in ``dropped_offline`` or
-    ``duplicates`` at once; ``now`` ends at the last event actually
-    popped, which a settled delivery never is. A popped duplicate skips
-    the protocol unless it is a confirmation, which passes through
-    ``handle_message`` at its source for its vote.
+    ``duplicates`` at once. A popped duplicate skips the protocol unless
+    it is a confirmation, which passes through ``handle_message`` at its
+    source for its vote.
 
     ``holders`` maps each live hash to the indices of the nodes holding
     it (the initiator, then each new copy's target before that copy's
@@ -389,7 +387,6 @@ class Engine:
         self.idx_of = {node.id: i for i, node in enumerate(nodes)}
         self.heap: list[tuple] = []
         self.seq = 0
-        self.now = 0
         self.next_hash = 0
         self.truncated = False
         self.data_sends = 0
@@ -507,7 +504,6 @@ class Engine:
                 push(heap, event)
                 self.truncated = True
                 break
-            self.now = t
             kind = event[2]
 
             if kind == DELIVER:

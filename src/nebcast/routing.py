@@ -1,13 +1,13 @@
 """Scored routing tables and rank-weighted relay selection.
 
-Each bucket keeps its peers sorted by score, highest first, with ties
-broken by insertion time (older first). Relay selection treats that
-order as a ranking: ranks are folded into groups of doubling size
-(rank 0 alone, then ranks 1-2, then 3-6, ...) and each group's weight
-halves relative to the one above it. A bucket of capacity 15 therefore
-spans four groups with weights 8, 4, 2, 1, so the top peer is eight
-times as likely to be drawn first as a bottom one, but nobody is ever
-starved outright.
+Each bucket keeps its peers sorted by score alone, highest first; peers
+with equal scores keep the order in which they reached that score.
+Relay selection treats that order as a ranking: ranks are folded into
+groups of doubling size (rank 0 alone, then ranks 1-2, then 3-6, ...)
+and each group's weight halves relative to the one above it. A bucket
+of capacity 15 therefore spans four groups with weights 8, 4, 2, 1, so
+the top peer is eight times as likely to be drawn first as a bottom
+one, but nobody is ever starved outright.
 """
 
 from __future__ import annotations
@@ -39,17 +39,16 @@ def rank_weights(capacity: int) -> tuple[int, ...]:
 
 
 class PeerEntry:
-    """One routed peer: its id, accumulated score, and insertion time."""
+    """One routed peer: its id and accumulated score."""
 
-    __slots__ = ("peer", "score", "inserted_at")
+    __slots__ = ("peer", "score")
 
-    def __init__(self, peer: int, score: int = 0, inserted_at: int = 0):
+    def __init__(self, peer: int, score: int = 0):
         self.peer = peer
         self.score = score
-        self.inserted_at = inserted_at
 
     def __repr__(self) -> str:
-        return f"PeerEntry(peer={self.peer:#x}, score={self.score}, inserted_at={self.inserted_at})"
+        return f"PeerEntry(peer={self.peer:#x}, score={self.score})"
 
 
 class Bucket:
@@ -102,7 +101,7 @@ class RoutingTable:
         """Snapshot of every tracked peer's score."""
         return {peer: entry.score for peer, entry in self._entries.items()}
 
-    def insert_peer(self, peer: int, now: int = 0) -> bool:
+    def insert_peer(self, peer: int) -> bool:
         """File a peer, returning False for self, duplicates, or a full bucket."""
         if peer == self.owner or peer in self._entries:
             return False
@@ -111,11 +110,11 @@ class RoutingTable:
         bucket = self.buckets[index]
         if len(bucket.entries) >= bucket.capacity:
             return False
-        self.file_peers(index, (peer,), now)
+        self.file_peers(index, (peer,))
         return True
 
-    def file_peers(self, index: int, peers: Sequence[int], now: int) -> None:
-        """Append fresh entries for ``peers``, stamped ``now``, to bucket ``index``.
+    def file_peers(self, index: int, peers: Sequence[int]) -> None:
+        """Append fresh entries for ``peers``, at score 0, to bucket ``index``.
 
         Unchecked: the caller guarantees that every peer is distinct, new
         to the table, not the owner, in the bucket's id range, and that
@@ -123,7 +122,7 @@ class RoutingTable:
         ids from the bucket's own range (``netsim.fill_table``) needs no
         check.
         """
-        fresh = [PeerEntry(peer, 0, now) for peer in peers]
+        fresh = [PeerEntry(peer) for peer in peers]
         self.buckets[index].entries += fresh
         self._entries.update(zip(peers, fresh))
 
@@ -137,9 +136,7 @@ class RoutingTable:
         i = entries.index(entry)
         while i > 0:
             ahead = entries[i - 1]
-            if ahead.score < entry.score or (
-                ahead.score == entry.score and ahead.inserted_at > entry.inserted_at
-            ):
+            if ahead.score < entry.score:
                 entries[i - 1], entries[i] = entry, ahead
                 i -= 1
             else:
@@ -172,8 +169,6 @@ def select_relays(bucket: Bucket, beta: int, rng: Random) -> list[PeerEntry]:
         acc = 0
         for i in range(n):
             w = weights[i]
-            if not w:
-                continue
             acc += w
             if target < acc:
                 picked.append(entries[i])

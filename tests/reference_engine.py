@@ -232,7 +232,7 @@ def assert_same_run(engine, reference: ReferenceEngine) -> None:
     def tables(nodes):
         return [
             (node.id, node.online, [
-                [(e.peer, e.score, e.inserted_at) for e in bucket.entries]
+                [(e.peer, e.score) for e in bucket.entries]
                 for bucket in node.table.buckets
             ])
             for node in nodes

@@ -138,8 +138,8 @@ def test_02_relay_selection_matches_rank_weights(capsys):
     start = time.perf_counter()
     table = RoutingTable(0, 8, 7)
     peers = list(range(128, 135))
-    for inserted_at, peer in enumerate(peers):
-        assert table.insert_peer(peer, now=inserted_at)
+    for peer in peers:
+        assert table.insert_peer(peer)
     bucket = table.buckets[0]
     rank = {peer: i for i, peer in enumerate(peers)}
     weights = rank_weights(7)
@@ -181,11 +181,11 @@ def test_02_relay_selection_matches_rank_weights(capsys):
 
 def test_03_confirmation_voting_exact_outcome(capsys):
     # Source 1 in a 3-bit space holds {4, 5} and {2, 3} in its two
-    # populated buckets. Insertion order makes 4 and 3 the top ranks,
+    # populated buckets. Filing order makes 4 and 3 the top ranks,
     # so a rank-0 draw relays to them and tickets the probes 5 and 2.
     source_table = RoutingTable(1, 3, 7)
-    for inserted_at, peer in enumerate((4, 3, 5, 2)):
-        assert source_table.insert_peer(peer, now=inserted_at)
+    for peer in (4, 3, 5, 2):
+        assert source_table.insert_peer(peer)
     source = NodeState(1, source_table)
     h = 77
     sends = initiate_broadcast(source, DATA_BYTES, 1, True, _RankZeroRng(), 0, h)
@@ -197,7 +197,7 @@ def test_03_confirmation_voting_exact_outcome(capsys):
     confirmations = []
     for probe_id in (2, 5):
         probe_table = RoutingTable(probe_id, 3, 7)
-        assert probe_table.insert_peer(1, now=0)
+        assert probe_table.insert_peer(1)
         probe = NodeState(probe_id, probe_table)
         copy = Message(h, DATA_BYTES, 1, 3, 3)
         out = handle_message(probe, copy, 1, True, random.Random(0), 5)

@@ -21,7 +21,7 @@ from nebcast.experiments.config import (
     load_config_file,
     parse_set_overrides,
 )
-from nebcast.experiments import runner
+from nebcast.experiments import runner, scenarios
 from nebcast.experiments.runner import DISTURBANCES, RunSpec, execute_run
 from nebcast.experiments.scenarios import (
     CSV_HEADER,
@@ -270,6 +270,24 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         load_config_file(tmp_path / "missing.yaml")
 
 
+def test_config_file_reads_an_empty_section_as_no_keys(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text(
+        "scenario: latency\nnetwork:\n  # n_nodes: 500\nbroadcast:\nexperiment:\n  repeats: 2\n",
+        encoding="utf-8",
+    )
+    assert load_config_file(path) == {"scenario": "latency", "repeats": 2}
+
+
+@pytest.mark.parametrize("body", ["network: 64", "network: [n_nodes]", "experiment: churn_once"])
+def test_config_file_rejects_a_section_that_is_not_a_mapping(tmp_path, body):
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"scenario: latency\n{body}\n", encoding="utf-8")
+    section = body.split(":")[0]
+    with pytest.raises(ConfigurationError, match=f"config section {section} must be a mapping"):
+        load_config_file(path)
+
+
 @pytest.mark.parametrize(
     "section,line,field",
     [
@@ -398,6 +416,42 @@ def test_cli_audit_exits_zero(capsys):
     assert main(["audit", "--n", "8", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "[ok]" in out and "FAIL" not in out
+
+
+def _fail_first_audit_check(monkeypatch) -> None:
+    audit_checks = scenarios._audit_checks
+
+    def failing(cfg, runs):
+        checks = audit_checks(cfg, runs)
+        checks[0]["passed"] = False
+        return checks
+
+    monkeypatch.setattr(scenarios, "_audit_checks", failing)
+
+
+def test_cli_audit_reports_failed_checks(capsys, monkeypatch):
+    _fail_first_audit_check(monkeypatch)
+    assert main(["audit", "--n", "8", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] all broadcasts complete [baseline beta=1]" in captured.out
+    assert "all 7 checks passed" not in captured.out
+    assert "error: 1 of 7 audit checks failed" in captured.err
+
+
+def test_cli_simulate_reports_failed_audit_checks(tmp_path, capsys, monkeypatch):
+    args = ["simulate", "--scenario", "faultfree_audit", "--set", "network.n_nodes=8"]
+    with monkeypatch.context() as patch:
+        _fail_first_audit_check(patch)
+        assert main([*args, "--out", str(tmp_path / "forced")]) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] all broadcasts complete [baseline beta=1]" in captured.out
+    assert "error: 1 of 7 audit checks failed" in captured.err
+    # cut at 1 s, the baseline run leaves a broadcast incomplete: the
+    # failed audit outranks the truncated run
+    code = main([*args, "--set", "experiment.horizon_s=1", "--out", str(tmp_path / "cut")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: 2 of 7 audit checks failed" in err and "hit the horizon" in err
 
 
 def test_cli_simulate_writes_files(tmp_path, capsys):

@@ -12,9 +12,9 @@ in the same change, saying why; any other digest change is a bug.
 Those cases stay at N<=64, where no bucket's id range is large enough
 for ``random.sample`` to take its set-based branch. The overlay case
 pins one N=2000 overlay, where the shallow buckets do: its node ids,
-profiles and every bucket's entries in order, as bootstrapped and
-again after three churn disturbances have refilled the returners'
-tables, in ``tests/golden/overlay_digests.json``.
+profiles and every bucket's (peer, score) entries in order, as
+bootstrapped and again after three churn disturbances have refilled
+the returners' tables, in ``tests/golden/overlay_digests.json``.
 
 To print the digests of the current code as JSON, keyed by the file
 that pins them, the overlay digests included (to re-pin after a
@@ -115,7 +115,7 @@ def _overlay_digest(nodes, profiles) -> str:
     body = [
         [
             node.id, node.online, profile.region, profile.upstream_bps,
-            [[[e.peer, e.score, e.inserted_at] for e in b.entries] for b in node.table.buckets],
+            [[[e.peer, e.score] for e in b.entries] for b in node.table.buckets],
         ]
         for node, profile in zip(nodes, profiles)
     ]
@@ -130,8 +130,8 @@ def overlay_digests() -> dict[str, str]:
     nodes, profiles = bootstrap_topology(NetworkConfig(n_nodes=2000), stream(1, "topology", 0))
     digests = {"n2000-seed1": _overlay_digest(nodes, profiles)}
     disturb_rng = stream(1, "disturb", 0)
-    for k in range(1, 4):
-        apply_disturbance(nodes, disturb_rng, profiles, now=k * 60_000_000)
+    for _ in range(3):
+        apply_disturbance(nodes, disturb_rng, profiles)
     digests["n2000-seed1-churn3"] = _overlay_digest(nodes, profiles)
     return digests
 

@@ -297,9 +297,9 @@ def test_churn_returners_fill_every_bucket_to_its_range(n, bits, capacity):
     ids = [node.id for node in nodes]
     rng = Random(5)
     returners = 0
-    for step in range(1, 9):
+    for _ in range(8):
         was_online = [node.online for node in nodes]
-        apply_disturbance(nodes, rng, profiles, now=step)
+        apply_disturbance(nodes, rng, profiles)
         for before, node in zip(was_online, nodes):
             if node.online and not before:
                 returners += 1
@@ -307,13 +307,13 @@ def test_churn_returners_fill_every_bucket_to_its_range(n, bits, capacity):
     assert returners > 0
 
 
-def _fill_by_insert(table: RoutingTable, sorted_ids: list[int], rng: Random, now: int) -> None:
+def _fill_by_insert(table: RoutingTable, sorted_ids: list[int], rng: Random) -> None:
     """The per-peer fill, kept as the reference: one ``rng.sample`` of
     positions per bucket, each id filed through ``insert_peer``."""
     for i, bucket in enumerate(table.buckets):
         a, b = netsim._bucket_slice(sorted_ids, table.owner, i, table.width)
         for j in rng.sample(range(a, b), min(bucket.capacity, b - a)):
-            assert table.insert_peer(sorted_ids[j], now)
+            assert table.insert_peer(sorted_ids[j])
 
 
 @pytest.mark.parametrize("n,bits,capacity", [(2000, 16, 15), (300, 12, 7), (16, 4, 3)])
@@ -325,13 +325,11 @@ def test_fill_table_files_what_the_per_peer_fill_files(n, bits, capacity):
     for owner in ids[:40]:
         fast, slow = RoutingTable(owner, bits, capacity), RoutingTable(owner, bits, capacity)
         fast_rng, slow_rng = Random(owner), Random(owner)
-        fill_table(fast, sorted_ids, fast_rng, 7)
-        _fill_by_insert(slow, sorted_ids, slow_rng, 7)
+        fill_table(fast, sorted_ids, fast_rng)
+        _fill_by_insert(slow, sorted_ids, slow_rng)
         assert fast_rng.getstate() == slow_rng.getstate()
         for fb, sb in zip(fast.buckets, slow.buckets):
-            assert [(e.peer, e.score, e.inserted_at) for e in fb.entries] == [
-                (e.peer, e.score, e.inserted_at) for e in sb.entries
-            ]
+            assert [(e.peer, e.score) for e in fb.entries] == [(e.peer, e.score) for e in sb.entries]
         filed = [e for b in fast.buckets for e in b.entries]
         assert len(fast) == len(filed) and all(fast.entry_for(e.peer) is e for e in filed)
 
@@ -339,14 +337,14 @@ def test_fill_table_files_what_the_per_peer_fill_files(n, bits, capacity):
 def test_fill_table_rejects_a_table_that_is_not_empty():
     ids = sample_ids(20, 6, Random(2))
     table = RoutingTable(ids[0], 6, 3)
-    fill_table(table, sorted(ids), Random(1), 0)
+    fill_table(table, sorted(ids), Random(1))
     rng = Random(1)
     state = rng.getstate()
     with pytest.raises(ConfigurationError, match="empty table"):
-        fill_table(table, sorted(ids), rng, 5)
+        fill_table(table, sorted(ids), rng)
     assert rng.getstate() == state
     table.clear()
-    fill_table(table, sorted(ids), rng, 5)
+    fill_table(table, sorted(ids), rng)
     _assert_filled(table, ids, 3)
 
 
@@ -356,7 +354,7 @@ def _offer_everyone(table: RoutingTable, ids: list[int], rng: Random) -> None:
     candidates = [other for other in ids if other != table.owner]
     rng.shuffle(candidates)
     for peer in candidates:
-        table.insert_peer(peer, 0)
+        table.insert_peer(peer)
 
 
 def test_fill_has_the_law_of_offering_everyone():
@@ -383,7 +381,7 @@ def test_fill_has_the_law_of_offering_everyone():
                     first[bucket.entries[0].peer] += 1
         return kept, first
 
-    sampled = frequencies(lambda table, rng: fill_table(table, sorted_ids, rng, 0))
+    sampled = frequencies(lambda table, rng: fill_table(table, sorted_ids, rng))
     offered = frequencies(lambda table, rng: _offer_everyone(table, ids, rng))
     for peer in ids[1:]:
         p = population[width - (owner ^ peer).bit_length()]
@@ -500,7 +498,7 @@ def test_churn_clears_casualties_and_rebootstraps_returners():
     nodes[-1].tickets[4] = set()
     profiles[-1].busy_until = 99_999
     rng = Random(3)
-    assert apply_disturbance(nodes, rng, profiles, now=60) == 2
+    assert apply_disturbance(nodes, rng, profiles) == 2
     for i, node in enumerate(nodes):
         if not node.online:
             assert len(node.table) == 0
@@ -510,9 +508,9 @@ def test_churn_clears_casualties_and_rebootstraps_returners():
             _assert_filled(node.table, ids, 15)
     survivors = {i: _bucket_peers(node) for i, node in enumerate(nodes) if node.online}
     was_online = [node.online for node in nodes]
-    # returning nodes rebuild full tables at the disturbance time, blind
-    # to who is online; survivors keep theirs entry for entry
-    apply_disturbance(nodes, rng, profiles, now=120)
+    # returning nodes rebuild full tables at score 0, blind to who is
+    # online; survivors keep theirs entry for entry
+    apply_disturbance(nodes, rng, profiles)
     returners = 0
     for i, node in enumerate(nodes):
         if not node.online:
@@ -523,7 +521,7 @@ def test_churn_clears_casualties_and_rebootstraps_returners():
             returners += 1
             _assert_filled(node.table, ids, 15)
             for bucket in node.table.buckets:
-                assert all(e.score == 0 and e.inserted_at == 120 for e in bucket.entries)
+                assert all(e.score == 0 for e in bucket.entries)
     assert returners > 0
 
 
@@ -622,7 +620,7 @@ def _outcome(engine: Engine) -> tuple:
     nodes = [
         (
             node.online, sorted((h, sorted(probes)) for h, probes in node.tickets.items()),
-            [[(e.peer, e.score, e.inserted_at) for e in b.entries] for b in node.table.buckets],
+            [[(e.peer, e.score) for e in b.entries] for b in node.table.buckets],
         )
         for node in engine.nodes
     ]
@@ -711,7 +709,7 @@ def test_empty_queue_runs_to_empty_log():
     engine = Engine(nodes, profiles, config, Random(1), collect_log=True)
     engine.run()
     assert engine.log == []
-    assert engine.now == 0 and not engine.truncated
+    assert not engine.truncated
 
 
 def test_single_broadcast_eight_nodes_delivers_exactly_once():

@@ -36,8 +36,8 @@ class _RankZeroRng:
 def _node(owner: int, width: int = 3, capacity: int = 7, peers=(), refuses=False) -> NodeState:
     table = RoutingTable(owner, width, capacity)
     node = NodeState(owner, table, refuses_relay=refuses)
-    for i, peer in enumerate(peers):
-        assert table.insert_peer(peer, now=i)
+    for peer in peers:
+        assert table.insert_peer(peer)
     return node
 
 

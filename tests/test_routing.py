@@ -3,7 +3,8 @@
 Two oracles anchor this module. The selection oracle enumerates every
 ordered draw sequence and sums exact probabilities, so the sampling
 code is checked against arithmetic, not against itself. The ordering
-oracle re-derives the expected bucket order from a plain sort key.
+oracle re-derives each bucket's full peer order with a stable sort by
+score.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 from nebcast.errors import ConfigurationError
 from nebcast.routing import (
     Bucket,
+    PeerEntry,
     RoutingTable,
     probe_set,
     rank_weights,
@@ -46,14 +48,8 @@ def _exact_draw_probs(weights: list[int], beta: int) -> dict[tuple[int, ...], fl
 def _saturated_bucket(capacity: int) -> Bucket:
     bucket = Bucket(capacity)
     for i in range(capacity):
-        bucket.entries.append(_entry(peer=100 + i, inserted_at=i))
+        bucket.entries.append(PeerEntry(100 + i))
     return bucket
-
-
-def _entry(peer: int, score: int = 0, inserted_at: int = 0):
-    from nebcast.routing import PeerEntry
-
-    return PeerEntry(peer, score, inserted_at)
 
 
 def test_rank_weights_capacity_7():
@@ -113,17 +109,16 @@ def test_insert_rejects_self_duplicate_and_overflow():
 def test_remove_and_reinsert_drops_score():
     # a peer leaves a table only when churn clears the whole table
     table = RoutingTable(owner=0, width=4, capacity=3)
-    table.insert_peer(8, now=0)
-    table.insert_peer(4, now=1)
+    table.insert_peer(8)
+    table.insert_peer(4)
     for _ in range(5):
         table.add_score(8)
     assert table.entry_for(8).score == 5
     table.clear()
     assert 8 not in table and len(table) == 0
     assert all(not bucket.entries for bucket in table.buckets)
-    assert table.insert_peer(8, now=9)
+    assert table.insert_peer(8)
     assert table.entry_for(8).score == 0
-    assert table.entry_for(8).inserted_at == 9
 
 
 def test_add_score_unknown_peer_is_ignored():
@@ -134,27 +129,42 @@ def test_add_score_unknown_peer_is_ignored():
 
 
 def test_bucket_order_invariant_under_random_operations():
-    # ordering oracle: after any operation sequence the bucket must read
-    # as sorted by score descending, then insertion time ascending
+    # ordering oracle: after each operation every bucket reads as a stable
+    # sort of its previous order by score, highest first, with a newly
+    # filed peer appended at the back
     rng = random.Random(41)
     for trial in range(50):
         table = RoutingTable(owner=0, width=8, capacity=15)
-        peers = list(range(128, 256))
-        now = 0
+        model: list[list[int]] = [[] for _ in table.buckets]
         for _ in range(400):
             action = rng.random()
-            peer = rng.choice(peers)
+            peer = rng.randrange(1, 256)
+            index = table.width - peer.bit_length()
             if action < 0.4:
-                table.insert_peer(peer, now=now)
-                now += 1
+                if table.insert_peer(peer):
+                    model[index].append(peer)
+                _assert_order(table, model)
             elif action < 0.99:
                 for _ in range(rng.randrange(1, 4)):
                     table.add_score(peer)
+                    model[index].sort(key=lambda p: -table.entry_for(p).score)
+                    _assert_order(table, model)
             else:
                 table.clear()
-            for bucket in table.buckets:
-                keys = [(-e.score, e.inserted_at) for e in bucket.entries]
-                assert keys == sorted(keys)
+                model = [[] for _ in table.buckets]
+                _assert_order(table, model)
+
+
+def _assert_order(table: RoutingTable, model: list[list[int]]) -> None:
+    assert [[e.peer for e in bucket.entries] for bucket in table.buckets] == model
+
+
+def test_equal_scores_keep_the_order_they_were_reached_in():
+    table = RoutingTable(owner=0, width=4, capacity=3)
+    assert table.insert_peer(8) and table.insert_peer(9)
+    table.add_score(9)
+    table.add_score(8)
+    assert [e.peer for e in table.buckets[0].entries] == [9, 8]
 
 
 def test_scores_snapshot_tracks_entries():
@@ -227,7 +237,7 @@ def test_select_relays_unsaturated_bucket_uses_occupied_ranks():
     rng = random.Random(31)
     bucket = Bucket(7)
     for i in range(3):
-        bucket.entries.append(_entry(peer=100 + i, inserted_at=i))
+        bucket.entries.append(PeerEntry(100 + i))
     counts = dict.fromkeys(range(3), 0)
     trials = 20_000
     for _ in range(trials):

@@ -90,6 +90,8 @@ class ScenarioConfig(NetworkConfig):
             )
         if self.horizon_s is not None and self.horizon_s < 1:
             raise ConfigurationError(f"horizon_s must be positive when set, got {self.horizon_s}")
+        if self.horizon_s is not None and self.scenario == "faultfree_audit":
+            raise ConfigurationError("horizon_s: faultfree_audit runs every broadcast to the end")
 
 
 # per-scenario defaults layered over the dataclass defaults

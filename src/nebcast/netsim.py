@@ -18,12 +18,12 @@ at once; survivors keep their tables, casualties lose theirs together
 with every queued packet whose transmission had not started yet, and
 returning nodes rebuild from scratch the same way the initial
 bootstrap did (``fill_table``), blind to who is online. A send queued
-to start at or after the next disturbance waits on the heap as a
-``HELD`` event at that disturbance's time, with its own sequence
-number, so the sender's fate is known before the send is committed:
-it is lost with the queue if its sender went down, held again if it
-would start at or after the following disturbance, and committed as
-queued otherwise.
+to start at or after the next disturbance is held in the engine, off
+the heap, under its own sequence number, and that disturbance decides
+it before any other event of its time: it is lost with the queue if
+its sender went down, held again if it would start at or after the
+following disturbance, and committed as queued otherwise. So each
+sender's sends are committed in the order they start.
 
 One rule decides a copy's fate, when it is sent and when it lands: it
 is dropped if its target is offline, a duplicate if the target already
@@ -46,8 +46,8 @@ Each settled send still takes its sequence number, so every other
 event keeps its order.
 
 Per-broadcast state lasts only while its broadcast is in flight. The
-engine keeps, per live hash, the nodes that hold it and its copies on
-the heap (deliveries and held sends); the initiator keeps its tickets
+engine keeps, per live hash, the nodes that hold it and its copies
+(deliveries on the heap and held sends); the initiator keeps its tickets
 under the hash. A disturbance leaves holders alone, so a node that
 falls and returns while h is in flight still holds h. When an event of
 hash h has been handled, its own sends committed, and no copy of h is
@@ -80,6 +80,7 @@ from .protocol import (
     gossip_initiate,
     handle_message,
     initiate_broadcast,
+    record_vote,
 )
 from .routing import RoutingTable, check_capacity
 
@@ -104,7 +105,11 @@ DEFAULT_BUCKET_CAPACITY = 15
 DELIVER = 0
 INITIATE = 1
 DISTURB = 2
-HELD = 3
+
+# the reasons of the log's score entries, in the order a copy can trigger them
+SCORE_NEW_SENDER = "new-message"
+SCORE_PROBE_VOTE = "probe-vote"
+SCORE_RELAY_VOTE = "relay-vote"
 
 # "no disturbance pending"; later than any simulated time
 _NEVER = 1 << 63
@@ -261,8 +266,6 @@ def apply_disturbance(
     nodes: list[NodeState],
     rng: Random,
     profiles: list[NodeNetProfile],
-    now: int = 0,
-    log: list | None = None,
 ) -> int:
     """Re-roll every node's liveness (churn); return the open tickets lost.
 
@@ -285,13 +288,9 @@ def apply_disturbance(
                 lost += sum(map(len, node.tickets.values()))
                 node.tickets.clear()
                 profiles[i].busy_until = 0
-                if log is not None:
-                    log.append(("node_offline", now, node.id))
         elif not node.online:
             node.online = True
             fill_table(node.table, sorted_ids, rng)
-            if log is not None:
-                log.append(("node_online", now, node.id))
     return lost
 
 
@@ -315,14 +314,16 @@ def check_protocol(variant: str, redundancy: int) -> None:
 class Engine:
     """The event loop for one simulation run.
 
-    Owns the heap and all transmission bookkeeping; routing
-    and protocol decisions stay in the protocol module and come back as
-    send intents. ``tracker`` hears every initiation and first receipt;
-    the engine makes one when none is given. ``collect_log=True`` also
-    appends each event to ``log`` in the order the engine decides it,
-    which is not time order: a settled copy's fate (``drop_offline``, or
-    ``deliver`` of a duplicate) follows its ``send`` entry at once,
-    stamped with its arrival time. The log changes nothing else.
+    Owns simulated time, the heap, the log and all transmission
+    bookkeeping; routing and protocol decisions stay in the protocol
+    module and come back as send intents. ``tracker`` hears every
+    initiation and first receipt; the engine makes one when none is
+    given. ``collect_log=True`` also appends each event to ``log`` in
+    the order the engine decides it, which is not time order: a settled
+    copy's fate (``drop_offline``, or ``deliver`` of a duplicate)
+    follows its ``send`` entry at once, stamped with its arrival time,
+    and an initiation's ``ticket`` entries follow it in set order. The
+    log changes nothing else.
 
     ``variant`` is the protocol: ``baseline`` (uniform subtree relays),
     ``ne`` (rank-weighted relays with neighbor evaluation) or
@@ -330,27 +331,27 @@ class Engine:
     relays per bucket, or the gossip fanout.
 
     A transmission is committed (scheduled, counted, logged as
-    ``send``) when it is queued, unless it is held for a disturbance
-    (see the module docstring; a held send lost with its queue is
-    logged as ``queue_lost``). Every disturbance is pushed before
-    ``run``, so it pops before the held sends of its time.
+    ``send``) when it is queued, unless it would start at or after the
+    next disturbance: then it waits in ``held`` as ``_commit``'s
+    arguments until that disturbance decides it (see the module
+    docstring; one lost with its queue is logged as ``queue_lost``).
 
     Committing settles a delivery whose fate is already fixed (see the
     module docstring) by counting it in ``dropped_offline`` or
     ``duplicates`` at once. A popped duplicate skips the protocol unless
-    it is a confirmation, which passes through ``handle_message`` at its
-    source for its vote.
+    it is a confirmation, which reaches only its source, where
+    ``record_vote`` settles its ticket's vote.
 
     ``holders`` maps each live hash to the indices of the nodes holding
     it (the initiator, then each new copy's target before that copy's
-    sends are committed), and ``copies`` to its deliveries and held
-    sends on the heap: +1 per push, -1 per pop, unchanged when a held
-    send is held again. Once an event of hash h is handled and its
-    sends are committed (at once, for a broadcast that sent nothing), a
-    count of zero retires h (see the module docstring), and the
-    initiator's remaining tickets for it are counted in
-    ``tickets_orphaned``. A casualty's open tickets are counted in
-    ``tickets_lost`` when its disturbance clears them.
+    sends are committed), and ``copies`` to its deliveries on the heap
+    and held sends: +1 per push or hold, -1 per pop or decision,
+    unchanged when a held send is held again. Once an event or held
+    send of hash h is handled and its sends committed (at once, for a
+    broadcast that sent nothing), a count of zero retires h (see the
+    module docstring), and the initiator's remaining tickets for it are
+    counted in ``tickets_orphaned``. A casualty's open tickets are
+    counted in ``tickets_lost`` when its disturbance clears them.
     """
 
     def __init__(
@@ -386,6 +387,8 @@ class Engine:
         self.per_hash_sends: dict[int, int] | None = {} if count_per_hash else None
         self.idx_of = {node.id: i for i, node in enumerate(nodes)}
         self.heap: list[tuple] = []
+        # sends waiting for the next disturbance, as _commit's arguments
+        self.held: list[tuple] = []
         self.seq = 0
         self.next_hash = 0
         self.truncated = False
@@ -399,7 +402,7 @@ class Engine:
         self.disturb_times: list[int] = []
         # deliveries landing before this time may be settled when sent
         self.settle_before = -1
-        # live hash -> its DELIVER and HELD events on the heap
+        # live hash -> its deliveries on the heap and its held sends
         self.copies: dict[int, int] = {}
         # live hash -> indices of the nodes holding it
         self.holders: dict[int, set[int]] = {}
@@ -473,6 +476,7 @@ class Engine:
     def run(self, horizon_us: int | None = None) -> None:
         """Drain the heap, or stop (flag truncated) past the horizon."""
         heap = self.heap
+        held = self.held
         dtimes = self.disturb_times
         nodes = self.nodes
         profiles = self.profiles
@@ -488,7 +492,6 @@ class Engine:
         withholds = self.refuse_withholds
         seq = self.seq
         pop = heappop
-        push = heappush
         commit = self._commit
         copies = self.copies
         holders = self.holders
@@ -501,7 +504,7 @@ class Engine:
             event = pop(heap)
             t = event[0]
             if t > horizon:
-                push(heap, event)
+                heappush(heap, event)
                 self.truncated = True
                 break
             kind = event[2]
@@ -519,9 +522,10 @@ class Engine:
                     if log is not None:
                         log.append(("drop_offline", t, node.id, h))
                 elif di in holders[h]:
-                    if m.is_confirmation:
-                        # at its source: settle its ticket's vote, once
-                        handle_message(node, m, beta, ne, rng, t, confirm_size, withholds, log)
+                    # a confirmation is at its source: settle its ticket's vote, once
+                    if m.is_confirmation and record_vote(node, m) and log is not None:
+                        log.append(("score", t, node.id, m.sender, SCORE_PROBE_VOTE, h))
+                        log.append(("score", t, node.id, m.relay, SCORE_RELAY_VOTE, h))
                     self.duplicates += 1
                     if log is not None:
                         log.append(("deliver", t, node.id, h, m.sender, False, m.is_confirmation))
@@ -532,7 +536,9 @@ class Engine:
                     if gossip:
                         sends = gossip_handle(node, m, beta, rng)
                     else:
-                        sends = handle_message(node, m, beta, ne, rng, t, confirm_size, withholds, log)
+                        if log is not None:
+                            log.append(("score", t, node.id, m.sender, SCORE_NEW_SENDER, h))
+                        sends = handle_message(node, m, beta, ne, rng, confirm_size, withholds)
                     if log is not None:
                         log.append(("deliver", t, node.id, h, m.sender, True, m.is_confirmation))
 
@@ -564,35 +570,43 @@ class Engine:
                 if gossip:
                     sends = gossip_initiate(node, payload, beta, rng, h)
                 else:
-                    sends = initiate_broadcast(node, payload, beta, ne, rng, t, h, log)
+                    sends = initiate_broadcast(node, payload, beta, ne, rng, h)
+                    if log is not None:
+                        for probe in node.tickets.get(h, ()):
+                            log.append(("ticket", t, source, probe, h))
 
             elif kind == DISTURB:
                 heappop(dtimes)
                 self.disturbances += 1
                 if log is not None:
                     log.append(("disturb", t, self.disturbances))
-                self.tickets_lost += apply_disturbance(nodes, self.disturb_rng, profiles, t, log)
+                self.tickets_lost += apply_disturbance(nodes, self.disturb_rng, profiles)
+                was_online = online_mask
                 online_mask = _online_mask(nodes)
+                if log is not None:
+                    for i, node in enumerate(nodes):
+                        if (was_online ^ online_mask) >> i & 1:
+                            change = "node_online" if online_mask >> i & 1 else "node_offline"
+                            log.append((change, t, node.id))
                 next_disturb = dtimes[0] if dtimes else _NEVER
                 self.settle_before = min(next_disturb, horizon + 1)
-                continue
-
-            else:
-                # a send held for the disturbance that fired at t
-                _, hseq, _, si, sm, ti, queued_at, start, arrival = event
-                sender = nodes[si]
-                if not sender.online:
-                    if log is not None:
-                        log.append(("queue_lost", t, sender.id, nodes[ti].id, sm.hash))
-                elif start >= next_disturb:
-                    push(heap, (next_disturb, *event[1:]))
-                    continue
-                else:
-                    commit(sender, ti, sm, queued_at, start, arrival, hseq)
-                h = sm.hash
-                copies[h] -= 1
-                if not copies[h]:
-                    self._retire(h, sm.source)
+                # decide the sends held for this disturbance, in the order they were queued
+                waiting = held[:]
+                held.clear()
+                for entry in waiting:
+                    sender, ti, sm, _, start, _, _ = entry
+                    if not sender.online:
+                        if log is not None:
+                            log.append(("queue_lost", t, sender.id, nodes[ti].id, sm.hash))
+                    elif start >= next_disturb:
+                        held.append(entry)
+                        continue
+                    else:
+                        commit(*entry)
+                    h = sm.hash
+                    copies[h] -= 1
+                    if not copies[h]:
+                        self._retire(h, sm.source)
                 continue
 
             if sends:
@@ -611,7 +625,7 @@ class Engine:
                     busy = start + (sm.size * 8_000_000 + bps - 1) // bps
                     arrival = busy + srow[profiles[ti].region]
                     if start >= next_disturb:
-                        push(heap, (next_disturb, seq, HELD, di, sm, ti, t, start, arrival))
+                        held.append((node, ti, sm, t, start, arrival, seq))
                         copies[sm.hash] += 1
                     else:
                         commit(node, ti, sm, t, start, arrival, seq)

@@ -18,9 +18,10 @@ are weighted by.
 
 All operations are pure state transitions: they mutate only the given
 node and return send intents ``(destination id, message)`` for the
-network layer to schedule. Nothing here knows about time-of-flight,
-bandwidth, or liveness, nor records who holds a hash: the engine does,
-per broadcast, and calls in here only for a new copy or a confirmation.
+network layer to schedule, or whether a vote counted. Nothing here
+knows the clock, time-of-flight, bandwidth or liveness, writes the
+log, or records who holds a hash: the engine does, per broadcast, and
+calls in here only for an initiation, a new copy or a confirmation.
 """
 
 from __future__ import annotations
@@ -31,11 +32,6 @@ from .routing import RoutingTable, probe_set, select_relays, select_uniform
 
 DATA_BYTES = 128
 CONFIRM_BYTES = 20
-
-# score event reasons, in the order a message can trigger them
-SCORE_NEW_SENDER = "new-message"
-SCORE_PROBE_VOTE = "probe-vote"
-SCORE_RELAY_VOTE = "relay-vote"
 
 
 class Message:
@@ -96,9 +92,7 @@ def initiate_broadcast(
     beta: int,
     ne_enabled: bool,
     rng: Random,
-    now: int,
     msg_hash: int,
-    events: list | None = None,
 ) -> list[tuple[int, Message]]:
     """Start a broadcast from ``node`` and return its first-hop sends.
 
@@ -121,8 +115,6 @@ def initiate_broadcast(
         if ne_enabled:
             for entry in probe_set(bucket, relays):
                 probes.add(entry.peer)
-                if events is not None:
-                    events.append(("ticket", now, node.id, entry.peer, msg_hash))
     if probes:
         node.tickets[msg_hash] = probes
     return sends
@@ -134,41 +126,22 @@ def handle_message(
     beta: int,
     ne_enabled: bool,
     rng: Random,
-    now: int,
     confirm_size: int = CONFIRM_BYTES,
     refuse_withholds_confirms: bool = False,
-    events: list | None = None,
-):
-    """Process one delivered message and return the send intents it causes.
+) -> list[tuple[int, Message]]:
+    """Process a new copy of a broadcast and return the send intents it causes.
 
     The engine calls this only for a hash the receiver does not hold
-    yet, or for a confirmation, which reaches only its broadcast's
-    source, where the step is vote settlement; any other copy is a
-    duplicate that the engine counts without calling here. Elsewhere the
-    steps run in a fixed order: scoring of the sender, confirmation
-    toward the source, refusal cut-off, and finally subtree relaying
-    into buckets deeper than the one shared with the sender.
-
-    Score events and consumed tickets are appended to ``events`` when a
-    list is supplied; the hot path skips that bookkeeping entirely.
+    yet, which is never at the broadcast's source; it counts any other
+    copy as a duplicate, and hands a confirmation, which reaches only
+    its source, to ``record_vote``. The steps run in a fixed order:
+    scoring of the sender, confirmation toward the source, refusal
+    cut-off, and finally subtree relaying into buckets deeper than the
+    one shared with the sender.
     """
     h = m.hash
     table = node.table
-    if node.id == m.source:
-        # only confirmations come back to the source for a hash it owns;
-        # settle the vote if this probe still holds a ticket
-        probes = node.tickets.get(h, ())
-        if m.sender in probes:
-            probes.discard(m.sender)
-            table.add_score(m.sender)
-            table.add_score(m.relay)
-            if events is not None:
-                events.append(("score", now, node.id, m.sender, SCORE_PROBE_VOTE, h))
-                events.append(("score", now, node.id, m.relay, SCORE_RELAY_VOTE, h))
-        return ()
     table.add_score(m.sender)
-    if events is not None:
-        events.append(("score", now, node.id, m.sender, SCORE_NEW_SENDER, h))
     sends: list[tuple[int, Message]] = []
     if (
         ne_enabled
@@ -193,6 +166,17 @@ def handle_message(
         for entry in pick(bucket, beta, rng):
             sends.append((entry.peer, forwarded))
     return sends
+
+
+def record_vote(node: NodeState, m: Message) -> bool:
+    """Settle confirmation ``m`` at its source ``node``; True if it used up a ticket."""
+    probes = node.tickets.get(m.hash, ())
+    if m.sender not in probes:
+        return False
+    probes.discard(m.sender)
+    node.table.add_score(m.sender)
+    node.table.add_score(m.relay)
+    return True
 
 
 def gossip_initiate(

@@ -3,7 +3,8 @@
 It has none of ``Engine``'s economies. Every copy is one heap event
 that is judged when it lands; each node keeps the set of hashes it has
 ever held; nothing is settled when sent and no broadcast is retired.
-Held sends and lost queues follow the documented rules. It shares only
+Held sends are heap events of their own at their disturbance's time,
+and they and lost queues follow the documented rules. It shares only
 the rules that are tested on their own: the protocol functions,
 ``bootstrap_topology``, ``apply_disturbance``, ``BroadcastTracker`` and
 the seeded streams.
@@ -20,7 +21,13 @@ from heapq import heappop, heappush
 from nebcast.experiments.runner import RunSpec
 from nebcast.metrics import BroadcastTracker
 from nebcast.netsim import DELAY_US, apply_disturbance, bootstrap_topology
-from nebcast.protocol import gossip_handle, gossip_initiate, handle_message, initiate_broadcast
+from nebcast.protocol import (
+    gossip_handle,
+    gossip_initiate,
+    handle_message,
+    initiate_broadcast,
+    record_vote,
+)
 from nebcast.seeding import stream
 
 COUNTERS = (
@@ -110,12 +117,12 @@ class ReferenceEngine:
                 self._put_on_wire(target, m, arrival, seq)
         prof.busy_until = busy
 
-    def _handle(self, i: int, m, t: int):
+    def _handle(self, i: int, m):
         node = self.nodes[i]
         if self.variant == "gossip":
             return gossip_handle(node, m, self.beta, self.rng)
         return handle_message(
-            node, m, self.beta, self.variant == "ne", self.rng, t,
+            node, m, self.beta, self.variant == "ne", self.rng,
             self.config.confirm_msg_bytes, self.withholds,
         )
 
@@ -137,18 +144,18 @@ class ReferenceEngine:
                     self.duplicates += 1
                     # only at a tree broadcast's source does a duplicate act: a vote
                     if node.id == m.source and self.variant != "gossip":
-                        self._handle(i, m, t)
+                        record_vote(node, m)
                 else:
                     self.known[i].add(m.hash)
                     self.accepted += 1
                     self.tracker.receive(m.hash, t, not node.refuses_relay, i)
-                    self._send(i, t, self._handle(i, m, t))
+                    self._send(i, t, self._handle(i, m))
             elif kind == "initiate":
                 self._initiate(payload[0], t)
             elif kind == "disturb":
                 self.pending_disturbances.remove(t)
                 self.disturbances += 1
-                self.tickets_lost += apply_disturbance(self.nodes, self.disturb_rng, self.profiles, t)
+                self.tickets_lost += apply_disturbance(self.nodes, self.disturb_rng, self.profiles)
             else:
                 sender, target, m, start, arrival = payload
                 if not self.nodes[sender].online:
@@ -177,7 +184,7 @@ class ReferenceEngine:
         if self.variant == "gossip":
             sends = gossip_initiate(node, payload, self.beta, self.rng, h)
         else:
-            sends = initiate_broadcast(node, payload, self.beta, self.variant == "ne", self.rng, t, h)
+            sends = initiate_broadcast(node, payload, self.beta, self.variant == "ne", self.rng, h)
         self._send(i, t, sends)
 
 

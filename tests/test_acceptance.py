@@ -51,6 +51,7 @@ from nebcast.protocol import (
     NodeState,
     handle_message,
     initiate_broadcast,
+    record_vote,
 )
 from nebcast.routing import RoutingTable, rank_weights, select_relays
 
@@ -188,7 +189,7 @@ def test_03_confirmation_voting_exact_outcome(capsys):
         assert source_table.insert_peer(peer)
     source = NodeState(1, source_table)
     h = 77
-    sends = initiate_broadcast(source, DATA_BYTES, 1, True, _RankZeroRng(), 0, h)
+    sends = initiate_broadcast(source, DATA_BYTES, 1, True, _RankZeroRng(), h)
     relays_ok = sorted(dest for dest, _ in sends) == [3, 4]
     tickets_ok = source.tickets == {h: {5, 2}}
 
@@ -200,19 +201,18 @@ def test_03_confirmation_voting_exact_outcome(capsys):
         assert probe_table.insert_peer(1)
         probe = NodeState(probe_id, probe_table)
         copy = Message(h, DATA_BYTES, 1, 3, 3)
-        out = handle_message(probe, copy, 1, True, random.Random(0), 5)
+        out = handle_message(probe, copy, 1, True, random.Random(0))
         confirmations.extend(out)
     shapes_ok = all(
         dest == 1 and m.is_confirmation and m.size == CONFIRM_BYTES and m.relay == 3
         for dest, m in confirmations
     ) and len(confirmations) == 2
 
-    for _, confirmation in confirmations:
-        handle_message(source, confirmation, 1, True, random.Random(0), 9)
+    counted = [record_vote(source, confirmation) for _, confirmation in confirmations]
     scores = source.table.scores()
-    votes_ok = scores == {3: 2, 2: 1, 5: 1, 4: 0}
+    votes_ok = counted == [True, True] and scores == {3: 2, 2: 1, 5: 1, 4: 0}
 
-    repeat = handle_message(source, confirmations[0][1], 1, True, random.Random(0), 11)
+    repeat = record_vote(source, confirmations[0][1])
     inert_ok = (
         not repeat and source.table.scores() == scores and source.tickets == {h: set()}
     )

@@ -446,12 +446,16 @@ def test_cli_simulate_reports_failed_audit_checks(tmp_path, capsys, monkeypatch)
     captured = capsys.readouterr()
     assert "[FAIL] all broadcasts complete [baseline beta=1]" in captured.out
     assert "error: 1 of 7 audit checks failed" in captured.err
-    # cut at 1 s, the baseline run leaves a broadcast incomplete: the
-    # failed audit outranks the truncated run
+
+
+def test_cli_simulate_rejects_a_horizon_for_the_audit(tmp_path, capsys):
+    # a run cut at a horizon cannot meet the audit's delivery invariants
+    args = ["simulate", "--scenario", "faultfree_audit", "--set", "network.n_nodes=8"]
     code = main([*args, "--set", "experiment.horizon_s=1", "--out", str(tmp_path / "cut")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "error: 2 of 7 audit checks failed" in err and "hit the horizon" in err
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "configuration error: horizon_s" in captured.err
+    assert "audit checks failed" not in captured.err and not (tmp_path / "cut").exists()
 
 
 def test_cli_simulate_writes_files(tmp_path, capsys):

@@ -16,9 +16,13 @@ profiles and every bucket's (peer, score) entries in order, as
 bootstrapped and again after three churn disturbances have refilled
 the returners' tables, in ``tests/golden/overlay_digests.json``.
 
+Three larger runs (``SCALE_CASES``, N=1000 and N=2000) are pinned in
+``run_digests.json`` too; ``tests/test_reference.py`` checks each of
+them against the reference engine and against its pin.
+
 To print the digests of the current code as JSON, keyed by the file
-that pins them, the overlay digests included (to re-pin after a
-deliberate change of the draws):
+that pins them, the overlay and scale digests included (to re-pin after
+a deliberate change of the draws):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -34,7 +38,7 @@ from pathlib import Path
 import pytest
 
 from nebcast.experiments.config import SCENARIO_DISTURBANCES, build_config
-from nebcast.experiments.runner import DISTURBANCES, RunSpec, execute_run
+from nebcast.experiments.runner import DISTURBANCES, RunResult, RunSpec, execute_run
 from nebcast.experiments.scenarios import emit_results, run_scenario
 from nebcast.netsim import NetworkConfig, apply_disturbance, bootstrap_topology
 from nebcast.seeding import stream
@@ -91,9 +95,32 @@ RUN_CASES = {
 }
 
 
-def run_digest(name: str) -> str:
+# runs at scale: capacity-bound shallow buckets, seconds-long uplink
+# queues and, under churn, sends held across many disturbances
+SCALE_CASES = {
+    # 2,738 holds of a send for a disturbance
+    "scale-ne-churn_periodic": RunSpec(
+        n_nodes=1000, variant="ne", redundancy=2, rounds_per_node=1, total_broadcasts=300,
+        interval_us=50_000, seed=1, disturbance="churn_periodic",
+        disturbance_period_us=3_000_000, count_per_hash=True,
+    ),
+    # 15,733 holds, many of one send held again across disturbances
+    "scale-baseline-churn_periodic": RunSpec(
+        n_nodes=1000, variant="baseline", redundancy=2, rounds_per_node=1, total_broadcasts=300,
+        interval_us=2_000, seed=2, disturbance="churn_periodic",
+        disturbance_period_us=100_000, count_per_hash=True,
+    ),
+    # the launches run to 9.95 s: the 6 s horizon cuts the run short
+    "scale-ne-refuse_half": RunSpec(
+        n_nodes=2000, variant="ne", redundancy=3, rounds_per_node=1, total_broadcasts=200,
+        interval_us=50_000, seed=3, disturbance="refuse_half", refuse_withholds_confirms=True,
+        horizon_us=6_000_000, count_per_hash=True,
+    ),
+}
+
+
+def run_digest(result: RunResult) -> str:
     """Digest of one run's counters, per-hash data sends and tracker records."""
-    result = execute_run(RUN_CASES[name])
     body = {
         "counters": [
             result.honest_nodes, result.data_sends, result.confirm_sends,
@@ -145,7 +172,7 @@ def test_outputs_match_golden_digests(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(RUN_CASES))
 def test_run_counters_match_golden_digests(name):
     pinned = json.loads(RUN_DIGESTS.read_text(encoding="utf-8"))
-    assert run_digest(name) == pinned[name]
+    assert run_digest(execute_run(RUN_CASES[name])) == pinned[name]
 
 
 def test_wide_overlay_matches_golden_digests():
@@ -155,7 +182,8 @@ def test_wide_overlay_matches_golden_digests():
 
 def test_golden_cases_are_all_pinned():
     assert sorted(json.loads(DIGESTS.read_text(encoding="utf-8"))) == sorted(CASES)
-    assert sorted(json.loads(RUN_DIGESTS.read_text(encoding="utf-8"))) == sorted(RUN_CASES)
+    pinned_runs = json.loads(RUN_DIGESTS.read_text(encoding="utf-8"))
+    assert sorted(pinned_runs) == sorted([*RUN_CASES, *SCALE_CASES])
 
 
 def test_every_scenario_and_disturbance_has_a_golden_case():
@@ -171,7 +199,8 @@ def test_every_scenario_and_disturbance_has_a_golden_case():
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = {name: case_digests(name, Path(tmp) / name) for name in sorted(CASES)}
-    runs = {name: run_digest(name) for name in sorted(RUN_CASES)}
+    cases = {**RUN_CASES, **SCALE_CASES}
+    runs = {name: run_digest(execute_run(cases[name])) for name in sorted(cases)}
     pins = {DIGESTS.name: digests, RUN_DIGESTS.name: runs, OVERLAY_DIGESTS.name: overlay_digests()}
     json.dump(pins, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")

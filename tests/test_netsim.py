@@ -16,13 +16,12 @@ import pytest
 
 from nebcast import netsim
 from nebcast.errors import ConfigurationError
-from nebcast.experiments.runner import RunSpec
+from nebcast.experiments.runner import RunSpec, execute_run
 from nebcast.metrics import BroadcastTracker
 from nebcast.netsim import (
     BANDWIDTH_CLASSES,
     DELAY_US,
     DELIVER,
-    HELD,
     REGION_PROPORTIONS,
     BANDWIDTH_PROPORTIONS,
     Engine,
@@ -184,6 +183,27 @@ def test_held_sends_commit_rehold_or_lose_at_disturbances(seed, node0_survives):
     assert engine.data_sends == len(sends)
     assert engine.nodes[0].online == node0_survives and not engine.nodes[2].online
     assert engine.disturbances == 2
+
+
+@pytest.mark.parametrize("variant", ["baseline", "ne"])
+def test_each_sender_commits_its_sends_in_uplink_order(variant):
+    # 240 launches 20 ms apart at β=2 under churn every 500 ms: uplink
+    # queues reach past disturbances, so sends are held, some of them
+    # again, and their senders send more at the disturbance's time. A
+    # sender's uplink is serial, so its sends must be committed (logged)
+    # in the order in which they start.
+    spec = RunSpec(
+        n_nodes=60, variant=variant, redundancy=2, rounds_per_node=4, interval_us=20_000,
+        seed=1, disturbance="churn_periodic", disturbance_period_us=500_000, collect_log=True,
+    )
+    log = execute_run(spec).log
+    assert any(entry[0] == "queue_lost" for entry in log)
+    last_start: dict[int, int] = {}
+    for entry in log:
+        if entry[0] == "send":
+            sender, start = entry[2], entry[7]
+            assert start >= last_start.get(sender, 0), entry
+            last_start[sender] = start
 
 
 @pytest.mark.parametrize(
@@ -890,11 +910,14 @@ def test_engine_keeps_every_online_bucket_saturated_under_churn(monkeypatch):
 
 
 def _assert_state_is_in_flight(engine: Engine) -> Counter:
-    """Holders are kept for exactly the hashes with a copy on the heap, tickets only for those.
+    """Holders are kept for exactly the hashes with a copy in flight, tickets only for those.
 
-    Returns the deliveries and held sends waiting on the heap, per hash.
+    Returns the deliveries waiting on the heap and the sends held for a
+    disturbance, per hash.
     """
-    live = Counter(event[4].hash for event in engine.heap if event[2] in (DELIVER, HELD))
+    assert all(len(event) == 5 for event in engine.heap)
+    live = Counter(event[4].hash for event in engine.heap if event[2] == DELIVER)
+    live.update(sm.hash for _, _, sm, *_ in engine.held)
     assert engine.copies == live
     assert engine.holders.keys() == engine.copies.keys() == live.keys()
     assert all(node.tickets.keys() <= live.keys() for node in engine.nodes)

@@ -22,6 +22,7 @@ from nebcast.protocol import (
     gossip_initiate,
     handle_message,
     initiate_broadcast,
+    record_vote,
 )
 from nebcast.routing import RoutingTable
 
@@ -52,20 +53,18 @@ def test_initiate_one_relay_per_bucket_and_tickets_for_the_rest():
     # and leaves 6 and 2 as probes.
     node = _node(0, peers=(1, 2, 3, 4, 6))
     node.table.add_score(3)
-    events: list = []
-    sends = initiate_broadcast(node, DATA_BYTES, 1, True, _RankZeroRng(), 0, 900, events)
+    sends = initiate_broadcast(node, DATA_BYTES, 1, True, _RankZeroRng(), 900)
     assert [dest for dest, _ in sends] == [4, 3, 1]
     for dest, m in sends:
         assert m.relay == dest
         assert m.source == 0 and m.sender == 0
         assert m.size == DATA_BYTES and not m.is_confirmation
     assert node.tickets == {900: {6, 2}}
-    assert {e[3] for e in events if e[0] == "ticket"} == {6, 2}
 
 
 def test_initiate_with_empty_table_sends_nothing():
     node = _node(0, peers=())
-    sends = initiate_broadcast(node, DATA_BYTES, 2, True, random.Random(1), 0, 7)
+    sends = initiate_broadcast(node, DATA_BYTES, 2, True, random.Random(1), 7)
     assert sends == []
     assert node.tickets == {}
 
@@ -74,14 +73,14 @@ def test_initiate_without_ne_never_creates_tickets():
     rng = random.Random(4)
     for trial in range(50):
         node = _node(0, peers=(1, 2, 3, 4, 5, 6, 7))
-        sends = initiate_broadcast(node, DATA_BYTES, 2, False, rng, 0, trial)
+        sends = initiate_broadcast(node, DATA_BYTES, 2, False, rng, trial)
         assert node.tickets == {}
         assert len(sends) == 5  # two per populated multi-entry bucket, one for bucket 2
 
 
 def test_initiate_beta_covers_everything():
     node = _node(0, peers=(1, 2, 3, 4, 6))
-    sends = initiate_broadcast(node, DATA_BYTES, 7, True, _RankZeroRng(), 0, 1)
+    sends = initiate_broadcast(node, DATA_BYTES, 7, True, _RankZeroRng(), 1)
     assert sorted(dest for dest, _ in sends) == [1, 2, 3, 4, 6]
     assert node.tickets == {}
 
@@ -99,7 +98,7 @@ def test_handle_new_message_scores_sender_and_relays_subtree_only():
     # into buckets 1 and 2, never back into bucket 0
     node = _node(0, peers=(1, 2, 3, 6))
     m = _data(7, source=4, relay=4, sender=4)
-    sends = handle_message(node, m, 2, False, random.Random(3), 0)
+    sends = handle_message(node, m, 2, False, random.Random(3))
     assert node.table.scores()[6] == 0  # only the sender is credited
     dests = [dest for dest, _ in sends]
     assert set(dests) <= {1, 2, 3}
@@ -114,7 +113,7 @@ def test_handle_new_message_scores_sender_and_relays_subtree_only():
 def test_handle_scores_sender_even_when_sender_unknown():
     node = _node(0, peers=(1,))
     m = _data(7, source=6, relay=6, sender=6)
-    handle_message(node, m, 1, False, random.Random(3), 0)
+    handle_message(node, m, 1, False, random.Random(3))
     # sender is not in the table; scoring is a no-op
     assert node.table.scores() == {1: 0}
 
@@ -125,7 +124,7 @@ def test_handle_emits_confirmation_when_source_is_reachable_neighbor():
     # confirmation carrying the original relay choice
     node = _node(4, peers=(1, 2, 6))
     m = _data(7, source=1, relay=2, sender=2)
-    sends = handle_message(node, m, 1, True, _RankZeroRng(), 0)
+    sends = handle_message(node, m, 1, True, _RankZeroRng())
     confirms = [(dest, fm) for dest, fm in sends if fm.is_confirmation]
     assert len(confirms) == 1
     dest, confirm = confirms[0]
@@ -139,7 +138,7 @@ def test_source_settles_vote_from_confirmation():
     source = _node(1, peers=(2, 4, 5))
     source.tickets[7] = {4}
     confirm = Message(7, CONFIRM_BYTES, 1, 2, 4, is_confirmation=True)
-    assert handle_message(source, confirm, 1, True, _RankZeroRng(), 0) == ()
+    assert record_vote(source, confirm)
     assert source.table.scores()[4] == 1  # probe credit
     assert source.table.scores()[2] == 1  # relay credit
     assert source.tickets == {7: set()}
@@ -148,35 +147,35 @@ def test_source_settles_vote_from_confirmation():
 def test_source_ignores_confirmation_without_ticket():
     source = _node(1, peers=(2, 4, 5))
     confirm = Message(7, CONFIRM_BYTES, 1, 2, 4, is_confirmation=True)
-    assert handle_message(source, confirm, 1, True, _RankZeroRng(), 0) == ()
+    assert not record_vote(source, confirm)
     assert all(score == 0 for score in source.table.scores().values())
 
 
 def test_no_confirmation_when_sender_is_source():
     node = _node(4, peers=(1, 2))
     m = _data(7, source=1, relay=4, sender=1)
-    sends = handle_message(node, m, 1, True, _RankZeroRng(), 0)
+    sends = handle_message(node, m, 1, True, _RankZeroRng())
     assert all(not fm.is_confirmation for _, fm in sends)
 
 
 def test_no_confirmation_when_source_not_in_table():
     node = _node(4, peers=(2, 6))
     m = _data(7, source=1, relay=2, sender=2)
-    sends = handle_message(node, m, 1, True, _RankZeroRng(), 0)
+    sends = handle_message(node, m, 1, True, _RankZeroRng())
     assert all(not fm.is_confirmation for _, fm in sends)
 
 
 def test_no_confirmation_when_ne_disabled():
     node = _node(4, peers=(1, 2))
     m = _data(7, source=1, relay=2, sender=2)
-    sends = handle_message(node, m, 1, False, random.Random(1), 0)
+    sends = handle_message(node, m, 1, False, random.Random(1))
     assert all(not fm.is_confirmation for _, fm in sends)
 
 
 def test_refusing_node_confirms_but_does_not_relay():
     node = _node(4, peers=(1, 2, 6), refuses=True)
     m = _data(7, source=1, relay=2, sender=2)
-    sends = handle_message(node, m, 1, True, _RankZeroRng(), 0)
+    sends = handle_message(node, m, 1, True, _RankZeroRng())
     assert len(sends) == 1
     assert sends[0][1].is_confirmation
 
@@ -184,7 +183,7 @@ def test_refusing_node_confirms_but_does_not_relay():
 def test_refusing_node_can_withhold_confirmations_too():
     node = _node(4, peers=(1, 2, 6), refuses=True)
     m = _data(7, source=1, relay=2, sender=2)
-    sends = handle_message(node, m, 1, True, _RankZeroRng(), 0, refuse_withholds_confirms=True)
+    sends = handle_message(node, m, 1, True, _RankZeroRng(), refuse_withholds_confirms=True)
     assert sends == []
 
 
@@ -195,7 +194,7 @@ def test_vote_settlement_first_confirmation_per_probe_wins():
     # branch reached them first, so 3 banks both relay votes.
     source = _node(1, peers=(2, 3, 4, 5))
     source.table.add_score(3)
-    sends = initiate_broadcast(source, DATA_BYTES, 1, True, _RankZeroRng(), 0, 7)
+    sends = initiate_broadcast(source, DATA_BYTES, 1, True, _RankZeroRng(), 7)
     assert sorted(dest for dest, _ in sends) == [3, 4]
     assert source.tickets == {7: {5, 2}}
 
@@ -205,8 +204,7 @@ def test_vote_settlement_first_confirmation_per_probe_wins():
         Message(7, CONFIRM_BYTES, 1, 3, 5, is_confirmation=True),
         Message(7, CONFIRM_BYTES, 1, 3, 2, is_confirmation=True),  # repeat vote, must not count
     ]
-    for m in confirmations:
-        assert handle_message(source, m, 1, True, _RankZeroRng(), 10) == ()
+    assert [record_vote(source, m) for m in confirmations] == [True, True, False]
     after = source.table.scores()
     deltas = {peer: after[peer] - base[peer] for peer in after if after[peer] != base[peer]}
     assert deltas == {3: 2, 2: 1, 5: 1}
@@ -217,7 +215,7 @@ def test_vote_settlement_first_confirmation_per_probe_wins():
 def test_vote_outcome_empty_batch():
     # issuing tickets credits nobody: without a confirmation no score moves
     source = _node(1, peers=(2, 3, 4, 5))
-    initiate_broadcast(source, DATA_BYTES, 1, True, _RankZeroRng(), 0, 7)
+    initiate_broadcast(source, DATA_BYTES, 1, True, _RankZeroRng(), 7)
     assert source.tickets == {7: {5, 3}}
     assert source.table.scores() == {2: 0, 3: 0, 4: 0, 5: 0}
 
@@ -313,7 +311,7 @@ def test_engine_counts_a_repeated_copy_as_an_inert_duplicate():
 
 def test_engine_settles_a_repeated_confirmation_once_at_the_source():
     # the source always holds its hash, so every copy that reaches it is
-    # a duplicate; a confirmation still passes through handle_message to
+    # a duplicate; a confirmation still passes through record_vote to
     # settle its ticket's vote, and its repeat finds the ticket gone
     nodes = [_node(1, peers=(2, 4, 5)), _node(2), _node(4), _node(5)]
     source = nodes[0]
@@ -390,7 +388,7 @@ def test_ticket_votes_conserved_per_broadcast():
 
 def _check_ticket_votes(disturbance: str, withholds: bool) -> None:
     from nebcast.netsim import assign_refusers, bootstrap_topology
-    from nebcast.protocol import SCORE_PROBE_VOTE, SCORE_RELAY_VOTE
+    from nebcast.netsim import SCORE_PROBE_VOTE, SCORE_RELAY_VOTE
     from nebcast.seeding import stream
 
     config = NetworkConfig(40)

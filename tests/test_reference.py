@@ -11,10 +11,15 @@ put every time on a grid of whole milliseconds, where sends start and
 copies land exactly at disturbances. Derandomized and
 without a database, so the examples are the same on every run and
 nothing is written to the working tree.
+
+The scale cases of ``test_golden.SCALE_CASES`` (N=1000 and N=2000) are
+checked the same way, and each engine run must also hash to its pin in
+``tests/golden/run_digests.json``.
 """
 
 from __future__ import annotations
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -24,9 +29,10 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from nebcast.experiments import runner
-from nebcast.experiments.runner import DISTURBANCES, RunSpec, execute_run
+from nebcast.experiments.runner import DISTURBANCES, RunResult, RunSpec, execute_run
 from nebcast.netsim import Engine
 from reference_engine import assert_same_run, run_reference
+from test_golden import RUN_DIGESTS, SCALE_CASES, run_digest
 
 
 # Hypothesis caches the constants it reads from local source, while the
@@ -76,8 +82,8 @@ def run_specs(draw) -> RunSpec:
     )
 
 
-def _engine_run(spec: RunSpec) -> Engine:
-    """Run ``spec`` through ``execute_run`` and return the engine it drained."""
+def _engine_run(spec: RunSpec) -> tuple[Engine, RunResult]:
+    """Run ``spec`` through ``execute_run``; return the engine it drained and its result."""
     kept = []
 
     class KeptEngine(Engine):
@@ -87,11 +93,19 @@ def _engine_run(spec: RunSpec) -> Engine:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(runner, "Engine", KeptEngine)
-        execute_run(spec)
-    return kept[0]
+        result = execute_run(spec)
+    return kept[0], result
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=800)
 @given(run_specs())
 def test_engine_matches_the_reference_engine(spec):
-    assert_same_run(_engine_run(spec), run_reference(spec))
+    assert_same_run(_engine_run(spec)[0], run_reference(spec))
+
+
+@pytest.mark.parametrize("name", sorted(SCALE_CASES))
+def test_engine_matches_the_reference_engine_at_scale(name):
+    spec = SCALE_CASES[name]
+    engine, result = _engine_run(spec)
+    assert run_digest(result) == json.loads(RUN_DIGESTS.read_text(encoding="utf-8"))[name]
+    assert_same_run(engine, run_reference(spec))

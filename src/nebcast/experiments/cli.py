@@ -85,9 +85,11 @@ def _cmd_simulate(args) -> int:
         return EXIT_CONFIG
     for cell in bundle["cells"]:
         tag = f"{cell['variant']} beta={cell['beta']}"
+        p50 = cell["latency"]["p50_us"]
+        p50_text = "n/a" if p50 is None else f"{p50} us"
         print(
             f"  {tag}: coverage {cell['coverage_pct']:.4f}%"
-            f" p50 {cell['latency']['p50_us']} us"
+            f" p50 {p50_text}"
             f" ({cell['latency']['incomplete']} incomplete)"
         )
     print(f"wrote {csv_path} and {json_path}")

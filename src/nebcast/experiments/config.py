@@ -204,7 +204,7 @@ def load_config_file(path: str | Path) -> dict:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"config file {path} is not valid YAML: {exc}") from exc
-    return _flatten_file(doc or {})
+    return _flatten_file({} if doc is None else doc)
 
 
 def parse_set_overrides(pairs: list[str]) -> dict:

@@ -28,7 +28,6 @@ class MessageRec:
     __slots__ = (
         "seq",
         "initiator",
-        "full_count",
         "received_count",
         "honest_received",
         "start_us",
@@ -38,30 +37,25 @@ class MessageRec:
         "online_received",
     )
 
-    def __init__(
-        self, seq: int, initiator: int, full_count: int, start_us: int, online_at_start: int | None
-    ):
+    def __init__(self, seq: int, initiator: int, start_us: int, online_at_start: int):
         self.seq = seq
         self.initiator = initiator
-        self.full_count = full_count
         self.received_count = 0
         self.honest_received = 0
         self.start_us = start_us
         self.last_receive_us: int | None = None
         # bitmask over node indices; bit i set when node i was online at the start
-        if online_at_start is None:
-            online_at_start = (1 << full_count) - 1
         self.online_at_start = online_at_start
         self.online_count = online_at_start.bit_count()
         self.online_received = 0
 
     @property
     def complete(self) -> bool:
-        return self.received_count == self.full_count
+        return self.last_receive_us is not None
 
     def __repr__(self) -> str:
         return (
-            f"MessageRec(seq={self.seq}, received={self.received_count}/{self.full_count},"
+            f"MessageRec(seq={self.seq}, received={self.received_count},"
             f" start={self.start_us}, last={self.last_receive_us})"
         )
 
@@ -76,14 +70,14 @@ def latency(rec: MessageRec) -> int | None:
 class BroadcastTracker:
     """Collects one MessageRec per scheduled broadcast of a run.
 
-    The initiator is counted as receiving its own broadcast at start,
-    so full coverage means all ``n_nodes`` receipts. A broadcast whose
+    The initiator is counted as receiving its own broadcast at start.
+    A record is complete, its ``last_receive_us`` set, at its
+    ``n_nodes``-th receipt. ``initiate`` takes whether the initiator
+    relays (``honest``) and the bitmask of node indices online at the
+    start (``online``), the initiator among them. A broadcast whose
     initiator is offline at its scheduled slot still gets a record; it
     just stays at zero receipts and, since nobody was online, adds
     nothing to the online population either.
-
-    ``online`` is the bitmask of node indices online when a broadcast
-    starts; left out, everyone counts as online.
     """
 
     __slots__ = ("n_nodes", "recs", "_by_hash")
@@ -93,22 +87,15 @@ class BroadcastTracker:
         self.recs: list[MessageRec] = []
         self._by_hash: dict[int, MessageRec] = {}
 
-    def initiate(
-        self,
-        msg_hash: int,
-        initiator: int,
-        t: int,
-        honest: bool = True,
-        online: int | None = None,
-    ) -> None:
+    def initiate(self, msg_hash: int, initiator: int, t: int, honest: bool, online: int) -> None:
         self._open(msg_hash, initiator, t, online)
         self.receive(msg_hash, t, honest, initiator)
 
     def initiate_skipped(self, msg_hash: int, initiator: int, t: int) -> None:
         self._open(msg_hash, initiator, t, 0)
 
-    def _open(self, msg_hash: int, initiator: int, t: int, online: int | None) -> None:
-        rec = MessageRec(len(self.recs), initiator, self.n_nodes, t, online)
+    def _open(self, msg_hash: int, initiator: int, t: int, online: int) -> None:
+        rec = MessageRec(len(self.recs), initiator, t, online)
         self.recs.append(rec)
         self._by_hash[msg_hash] = rec
 
@@ -120,10 +107,10 @@ class BroadcastTracker:
         so a count past the population is a harness bug and raises.
         """
         rec = self._by_hash[msg_hash]
-        if rec.received_count >= rec.full_count:
-            raise AssertionError(f"broadcast {rec.seq} double-counted beyond {rec.full_count}")
+        if rec.received_count >= self.n_nodes:
+            raise AssertionError(f"broadcast {rec.seq} double-counted beyond {self.n_nodes}")
         rec.received_count += 1
-        if rec.received_count == rec.full_count:
+        if rec.received_count == self.n_nodes:
             rec.last_receive_us = t
         if honest:
             rec.honest_received += 1

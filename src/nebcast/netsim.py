@@ -77,7 +77,6 @@ from .protocol import (
     Message,
     NodeState,
     gossip_handle,
-    gossip_initiate,
     handle_message,
     initiate_broadcast,
     record_vote,
@@ -568,7 +567,7 @@ class Engine:
                 if log is not None:
                     log.append(("initiate", t, node.id, h))
                 if gossip:
-                    sends = gossip_initiate(node, payload, beta, rng, h)
+                    sends = gossip_handle(node, Message(h, payload, source, source, source), beta, rng)
                 else:
                     sends = initiate_broadcast(node, payload, beta, ne, rng, h)
                     if log is not None:

@@ -179,33 +179,20 @@ def record_vote(node: NodeState, m: Message) -> bool:
     return True
 
 
-def gossip_initiate(
-    node: NodeState,
-    payload_size: int,
-    fanout: int,
-    rng: Random,
-    msg_hash: int,
-) -> list[tuple[int, Message]]:
-    """Start a gossip round: push to ``fanout`` random peers of the node's table."""
-    targets = list(node.table)
-    if fanout < len(targets):
-        targets = rng.sample(targets, fanout)
-    m = Message(msg_hash, payload_size, node.id, node.id, node.id)
-    return [(peer, m) for peer in targets]
-
-
 def gossip_handle(
     node: NodeState,
     m: Message,
     fanout: int,
     rng: Random,
 ) -> list[tuple[int, Message]]:
-    """Gossip reception: forward a new hash to random peers of the node's table.
+    """Gossip push: send a new hash to ``fanout`` random peers of the node's table.
 
-    The engine calls this only for a hash the receiver does not hold
-    yet and counts every other copy as a duplicate. The sender is
-    excluded from the candidate set, so the effective fanout is capped
-    at the table's size - 1.
+    The engine calls this for a hash the node does not hold yet and
+    counts every other copy as a duplicate. An initiator pushes its own
+    broadcast the same way, handed a copy that it sent itself. The
+    sender is left out of the candidates, so a receiver's fanout is
+    capped at the table's size - 1; an initiator is in none of its own
+    buckets, so it loses no one.
     """
     candidates = [peer for peer in node.table if peer != m.sender]
     if fanout < len(candidates):

@@ -22,8 +22,8 @@ from nebcast.experiments.runner import RunSpec
 from nebcast.metrics import BroadcastTracker
 from nebcast.netsim import DELAY_US, apply_disturbance, bootstrap_topology
 from nebcast.protocol import (
+    Message,
     gossip_handle,
-    gossip_initiate,
     handle_message,
     initiate_broadcast,
     record_vote,
@@ -182,7 +182,8 @@ class ReferenceEngine:
         self.tracker.initiate(h, i, t, not node.refuses_relay, mask)
         payload = self.config.data_msg_bytes
         if self.variant == "gossip":
-            sends = gossip_initiate(node, payload, self.beta, self.rng, h)
+            own = Message(h, payload, node.id, node.id, node.id)
+            sends = gossip_handle(node, own, self.beta, self.rng)
         else:
             sends = initiate_broadcast(node, payload, self.beta, self.variant == "ne", self.rng, h)
         self._send(i, t, sends)

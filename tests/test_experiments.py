@@ -279,6 +279,25 @@ def test_config_file_reads_an_empty_section_as_no_keys(tmp_path):
     assert load_config_file(path) == {"scenario": "latency", "repeats": 2}
 
 
+@pytest.mark.parametrize("body", ["- a", "[]", "0", "false", "''"])
+def test_config_file_must_hold_a_mapping_at_the_top_level(tmp_path, capsys, body):
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"{body}\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError, match="config file must hold a mapping at the top level"):
+        load_config_file(path)
+    out_dir = tmp_path / "results"
+    argv = ["simulate", "--config", str(path), "--scenario", "faultfree_audit",
+            "--set", "network.n_nodes=4", "--out", str(out_dir)]
+    assert main(argv) == 2
+    assert "config file must hold a mapping at the top level" in capsys.readouterr().err
+    assert not out_dir.exists()
+    # only a null document, an empty or comment-only file, reads as no keys
+    path.write_text("# nothing set\n", encoding="utf-8")
+    assert load_config_file(path) == {}
+    path.write_text("", encoding="utf-8")
+    assert load_config_file(path) == {}
+
+
 @pytest.mark.parametrize("body", ["network: 64", "network: [n_nodes]", "experiment: churn_once"])
 def test_config_file_rejects_a_section_that_is_not_a_mapping(tmp_path, body):
     path = tmp_path / "bad.yaml"
@@ -587,9 +606,14 @@ def test_cli_simulate_reports_truncation(tmp_path, capsys):
         ]
     )
     assert code == 3
-    assert "hit the horizon" in capsys.readouterr().err
+    printed = capsys.readouterr()
+    assert "hit the horizon" in printed.err
+    # with nodes offline no broadcast completes, so no cell has a median latency
+    assert "baseline beta=1: coverage 11.1816% p50 n/a (41 incomplete)" in printed.out
+    assert "None" not in printed.out
     doc = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
     assert [cell["truncated"] for cell in doc["cells"]] == [True, True]
+    assert [cell["latency"]["p50_us"] for cell in doc["cells"]] == [None, None]
 
 
 def test_cli_audit_catches_config_errors(capsys):

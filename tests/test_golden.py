@@ -116,6 +116,21 @@ SCALE_CASES = {
         interval_us=50_000, seed=3, disturbance="refuse_half", refuse_withholds_confirms=True,
         horizon_us=6_000_000, count_per_hash=True,
     ),
+    # gossip pushes from every initiator and receiver, through churn
+    "scale-gossip-churn_periodic": RunSpec(
+        n_nodes=1000, variant="gossip", redundancy=3, rounds_per_node=1, total_broadcasts=300,
+        interval_us=50_000, seed=4, disturbance="churn_periodic",
+        disturbance_period_us=3_000_000, count_per_hash=True,
+    ),
+    "scale-ne-churn_once": RunSpec(
+        n_nodes=1000, variant="ne", redundancy=2, rounds_per_node=1, total_broadcasts=300,
+        interval_us=50_000, seed=5, disturbance="churn_once", count_per_hash=True,
+    ),
+    # fault free at β=1: every broadcast reaches everyone exactly once
+    "scale-baseline-none": RunSpec(
+        n_nodes=2000, variant="baseline", redundancy=1, rounds_per_node=1, total_broadcasts=100,
+        interval_us=50_000, seed=6, count_per_hash=True,
+    ),
 }
 
 

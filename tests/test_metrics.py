@@ -26,7 +26,7 @@ from nebcast.metrics import (
 
 def test_record_initiate_then_receives():
     tracker = BroadcastTracker(n_nodes=3)
-    tracker.initiate(7, initiator=0, t=100)
+    tracker.initiate(7, initiator=0, t=100, honest=True, online=0b111)
     rec = tracker.recs[0]
     assert rec.start_us == 100
     assert rec.received_count == 1 and not rec.complete  # the initiator's own receipt
@@ -41,7 +41,7 @@ def test_record_initiate_then_receives():
 
 def test_tracker_rejects_overcount():
     tracker = BroadcastTracker(n_nodes=2)
-    tracker.initiate(7, initiator=0, t=5)
+    tracker.initiate(7, initiator=0, t=5, honest=True, online=0b11)
     tracker.receive(7, 6, honest=True, node=1)
     with pytest.raises(AssertionError):
         tracker.receive(7, 7, honest=True, node=1)
@@ -54,7 +54,7 @@ def test_tracker_rejects_overcount():
 
 def test_latency_incomplete_is_none():
     tracker = BroadcastTracker(n_nodes=3)
-    tracker.initiate(7, initiator=0, t=50)
+    tracker.initiate(7, initiator=0, t=50, honest=True, online=0b111)
     tracker.receive(7, 60, honest=True, node=1)
     assert tracker.recs[0].start_us == 50
     assert latency(tracker.recs[0]) is None
@@ -62,7 +62,7 @@ def test_latency_incomplete_is_none():
 
 def test_tracker_counts_initiator_at_start():
     tracker = BroadcastTracker(n_nodes=1)
-    tracker.initiate(7, initiator=0, t=40)
+    tracker.initiate(7, initiator=0, t=40, honest=True, online=0b1)
     rec = tracker.recs[0]
     assert rec.complete
     assert latency(rec) == 0  # a single-node network finishes instantly
@@ -82,8 +82,8 @@ def test_tracker_skipped_initiation_keeps_zero_record():
 
 def test_tracker_receive_flows_into_the_right_record():
     tracker = BroadcastTracker(n_nodes=3)
-    tracker.initiate(7, initiator=0, t=0)
-    tracker.initiate(8, initiator=1, t=10, honest=False)
+    tracker.initiate(7, initiator=0, t=0, honest=True, online=0b111)
+    tracker.initiate(8, initiator=1, t=10, honest=False, online=0b111)
     tracker.receive(7, 500, honest=True, node=1)
     tracker.receive(8, 600, honest=False, node=0)
     tracker.receive(7, 700, honest=False, node=2)
@@ -161,7 +161,7 @@ def test_honest_denominator_never_understates():
 def test_online_population_counts_the_initiator():
     # nodes 0 and 2 of 4 are online when node 2 starts a broadcast
     tracker = BroadcastTracker(n_nodes=4)
-    tracker.initiate(7, initiator=2, t=0, online=0b0101)
+    tracker.initiate(7, initiator=2, t=0, honest=True, online=0b0101)
     rec = tracker.recs[0]
     assert rec.online_count == 2
     assert rec.online_received == 1
@@ -173,7 +173,7 @@ def test_online_population_counts_the_initiator():
 def test_online_population_ignores_a_node_back_mid_broadcast():
     # node 1 was offline at the start and came back before the copy arrived
     tracker = BroadcastTracker(n_nodes=3)
-    tracker.initiate(7, initiator=0, t=0, online=0b101)
+    tracker.initiate(7, initiator=0, t=0, honest=True, online=0b101)
     tracker.receive(7, 400, honest=True, node=1)
     rec = tracker.recs[0]
     assert rec.received_count == 2

@@ -19,7 +19,6 @@ from nebcast.protocol import (
     Message,
     NodeState,
     gossip_handle,
-    gossip_initiate,
     handle_message,
     initiate_broadcast,
     record_vote,
@@ -220,13 +219,19 @@ def test_vote_outcome_empty_batch():
     assert source.table.scores() == {2: 0, 3: 0, 4: 0, 5: 0}
 
 
-def test_gossip_initiate_and_fanout_cap():
+def test_gossip_initiator_pushes_its_own_copy_up_to_the_fanout():
+    # an initiator hands gossip_handle the copy it sent itself
+    own = _data(9, source=0, relay=0, sender=0)
     node = _node(0, peers=(1, 2, 3, 4))
-    sends = gossip_initiate(node, DATA_BYTES, 2, random.Random(5), 9)
+    sends = gossip_handle(node, own, 2, random.Random(5))
     assert len(sends) == 2
     assert {dest for dest, _ in sends} <= {1, 2, 3, 4}
+    for _, m in sends:
+        fields = (m.hash, m.size, m.source, m.relay, m.sender, m.is_confirmation)
+        assert fields == (9, DATA_BYTES, 0, 0, 0, False)
+    # leaving out the sender removes no one from the initiator's own table
     full = _node(0, peers=(1, 2))
-    assert len(gossip_initiate(full, DATA_BYTES, 10, random.Random(5), 9)) == 2
+    assert len(gossip_handle(full, own, 10, random.Random(5))) == 2
 
 
 def test_gossip_handle_excludes_sender():
@@ -266,7 +271,7 @@ def _deliver(engine: Engine, index: int, m: Message, times: list[int]) -> None:
     """
     source = engine.idx_of[m.source]
     engine.holders[m.hash] = {source}
-    engine.tracker.initiate(m.hash, source, times[0])
+    engine.tracker.initiate(m.hash, source, times[0], True, (1 << len(engine.nodes)) - 1)
     for t in times:
         heappush(engine.heap, (t, engine.seq, DELIVER, index, m))
         engine.seq += 1

@@ -108,4 +108,10 @@ def test_engine_matches_the_reference_engine_at_scale(name):
     spec = SCALE_CASES[name]
     engine, result = _engine_run(spec)
     assert run_digest(result) == json.loads(RUN_DIGESTS.read_text(encoding="utf-8"))[name]
+    if spec.disturbance == "none" and spec.redundancy == 1 and spec.variant != "gossip":
+        # exactly once at scale: one data send per receiver, no duplicate
+        total = spec.total_broadcasts
+        assert result.per_hash_sends == {h: spec.n_nodes - 1 for h in range(total)}
+        assert result.duplicates == 0
+        assert sum(rec.complete for rec in result.recs) == total
     assert_same_run(engine, run_reference(spec))

@@ -17,7 +17,7 @@ from typing import get_args, get_origin, get_type_hints
 import yaml
 
 from ..errors import ConfigurationError
-from ..netsim import NetworkConfig
+from ..netsim import LAUNCH_LIMIT_US, NetworkConfig
 
 # scenario -> the disturbances it runs under, its default first
 SCENARIO_DISTURBANCES: dict[str, tuple[str, ...]] = {
@@ -64,6 +64,13 @@ class ScenarioConfig(NetworkConfig):
         for name in ("interval_ms", "rounds_per_node", "repeats"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be at least 1, got {getattr(self, name)}")
+        launches = self.n_nodes * self.rounds_per_node
+        if self.scenario == "gossip_sweep":  # its flooding cell runs flood_check_broadcasts
+            launches = max(launches, self.flood_check_broadcasts)
+        if (launches - 1) * self.interval_ms * 1000 >= LAUNCH_LIMIT_US:
+            raise ConfigurationError(
+                f"interval_ms={self.interval_ms} launches the last broadcast at or past 2**62 us"
+            )
         if not self.variants or any(v not in VARIANTS for v in self.variants):
             raise ConfigurationError(f"variants must draw from {VARIANTS}, got {self.variants}")
         for name in ("betas", "fanouts", "variants"):

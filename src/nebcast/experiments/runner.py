@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from ..metrics import BroadcastTracker, MessageRec, latency
-from ..netsim import Engine, NetworkConfig, assign_refusers, bootstrap_topology, check_protocol
+from ..netsim import LAUNCH_LIMIT_US, Engine, NetworkConfig, assign_refusers, bootstrap_topology
 from ..seeding import stream
 from .config import SCENARIO_DISTURBANCES
 
@@ -44,13 +44,20 @@ class RunSpec(NetworkConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        check_protocol(self.variant, self.redundancy)
+        if self.variant not in ("baseline", "ne", "gossip"):
+            raise ConfigurationError(f"variant must be baseline, ne, or gossip, got {self.variant!r}")
+        if self.redundancy < 1:
+            raise ConfigurationError(f"redundancy must be at least 1, got {self.redundancy}")
         for name in ("rounds_per_node", "interval_us"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.total_broadcasts is not None and self.total_broadcasts < 1:
             raise ConfigurationError(
                 f"total_broadcasts must be at least 1 when set, got {self.total_broadcasts}"
+            )
+        if (broadcast_count(self) - 1) * self.interval_us >= LAUNCH_LIMIT_US:
+            raise ConfigurationError(
+                f"interval_us={self.interval_us} launches the last broadcast at or past 2**62 us"
             )
         if self.horizon_us is not None and self.horizon_us < 0:
             raise ConfigurationError(

@@ -5,9 +5,9 @@ bits, most significant bit first. Peers are filed into buckets by the
 length of the id prefix they share with the local node: bucket ``i``
 holds peers agreeing on exactly the first ``i`` bits and differing on
 bit ``i``, which is bucket ``width - (a ^ b).bit_length()`` for ids
-``a`` and ``b``. A routing table checks its owner against the declared
-width so that a mis-sized id fails loudly instead of landing in the
-wrong bucket.
+``a`` and ``b``. Ids come only from ``sample_ids``, which draws them
+within the width that ``NetworkConfig`` checked, so nothing below the
+config re-checks an id or a width.
 """
 
 from __future__ import annotations
@@ -19,19 +19,9 @@ from .errors import ConfigurationError
 MAX_ADDRESS_BITS = 160
 
 
-def check_width(width: int, name: str = "address width") -> None:
-    if not isinstance(width, int) or not 1 <= width <= MAX_ADDRESS_BITS:
-        raise ConfigurationError(f"{name} must be an int in [1, {MAX_ADDRESS_BITS}], got {width!r}")
-
-
-def check_id(value: int, width: int) -> None:
-    if not isinstance(value, int) or not 0 <= value < (1 << width):
-        raise ConfigurationError(f"id {value!r} does not fit an address width of {width} bits")
-
-
 def sample_ids(count: int, width: int, rng: Random) -> list[int]:
     """Draw ``count`` distinct ids uniformly from the width-bit space."""
-    check_width(width)
+    # more ids than the space holds would never finish drawing
     if count < 0 or count > (1 << width):
         raise ConfigurationError(f"cannot draw {count} distinct ids from a {width}-bit space")
     seen: set[int] = set()

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import ConfigurationError
-
 
 class MessageRec:
     """Delivery record for a single broadcast."""
@@ -126,13 +124,7 @@ def coverage_percent(received_totals: Sequence[int], rounds: int, n_nodes: int) 
     is rounds * repeats * n_nodes, every scheduled broadcast counted
     against the whole population.
     """
-    repeats = len(received_totals)
-    if repeats < 1 or rounds < 1 or n_nodes < 1:
-        raise ConfigurationError(
-            f"coverage needs at least one repeat, round, and node"
-            f" (got {repeats} repeats, {rounds} rounds, {n_nodes} nodes)"
-        )
-    return 100.0 * sum(received_totals) / (rounds * repeats * n_nodes)
+    return 100.0 * sum(received_totals) / (rounds * len(received_totals) * n_nodes)
 
 
 def honest_coverage_percent(
@@ -144,12 +136,6 @@ def honest_coverage_percent(
     denominator scales per-repeat honest populations instead of N, so
     refusing nodes neither help nor hurt the score.
     """
-    if len(received_totals) != len(honest_counts):
-        raise ConfigurationError(
-            f"got {len(received_totals)} receipt totals but {len(honest_counts)} honest counts"
-        )
-    if rounds < 1 or not honest_counts or min(honest_counts) < 1:
-        raise ConfigurationError("honest coverage needs rounds >= 1 and honest nodes in every repeat")
     return 100.0 * sum(received_totals) / (rounds * sum(honest_counts))
 
 
@@ -163,10 +149,6 @@ def online_unreceived_percent(
     (broadcast, node) pairs. Returns None when nobody was online at any
     broadcast start, where the fraction is undefined.
     """
-    if len(online_received) != len(online_population):
-        raise ConfigurationError(
-            f"got {len(online_received)} receipt totals but {len(online_population)} populations"
-        )
     population = sum(online_population)
     if population == 0:
         return None

@@ -69,7 +69,7 @@ from random import Random
 from typing import Sequence
 
 from .errors import ConfigurationError
-from .identity import check_width, sample_ids
+from .identity import MAX_ADDRESS_BITS, sample_ids
 from .metrics import BroadcastTracker
 from .protocol import (
     CONFIRM_BYTES,
@@ -81,7 +81,7 @@ from .protocol import (
     initiate_broadcast,
     record_vote,
 )
-from .routing import RoutingTable, check_capacity
+from .routing import RoutingTable
 
 # share of nodes per region, percent
 REGION_PROPORTIONS = (30, 10, 40, 20)
@@ -110,8 +110,10 @@ SCORE_NEW_SENDER = "new-message"
 SCORE_PROBE_VOTE = "probe-vote"
 SCORE_RELAY_VOTE = "relay-vote"
 
-# "no disturbance pending"; later than any simulated time
+# "no disturbance pending"; later than any simulated time, as the configs
+# keep launches before LAUNCH_LIMIT_US, leaving as much again for queues and delays
 _NEVER = 1 << 63
+LAUNCH_LIMIT_US = 1 << 62
 
 
 class NodeNetProfile:
@@ -142,12 +144,18 @@ class NetworkConfig:
     def __post_init__(self):
         if self.n_nodes < 1:
             raise ConfigurationError(f"n_nodes must be at least 1, got {self.n_nodes}")
-        check_width(self.address_bits, "address_bits")
+        if not isinstance(self.address_bits, int) or not 1 <= self.address_bits <= MAX_ADDRESS_BITS:
+            raise ConfigurationError(
+                f"address_bits must be an int in [1, {MAX_ADDRESS_BITS}], got {self.address_bits!r}"
+            )
         if self.n_nodes > (1 << self.address_bits):
             raise ConfigurationError(
                 f"n_nodes={self.n_nodes} cannot get distinct ids of address_bits={self.address_bits}"
             )
-        check_capacity(self.bucket_capacity, "bucket_capacity")
+        # group sizes 1, 2, 4, ... only tile the rank range when capacity is 2^n - 1
+        capacity = self.bucket_capacity
+        if not isinstance(capacity, int) or capacity < 1 or capacity & (capacity + 1):
+            raise ConfigurationError(f"bucket_capacity must be 2**n - 1 for n >= 1, got {capacity!r}")
         # a negative size would free the upstream before the send started
         for name in ("data_msg_bytes", "confirm_msg_bytes"):
             if getattr(self, name) < 0:
@@ -302,14 +310,6 @@ def _online_mask(nodes: list[NodeState]) -> int:
     return mask
 
 
-def check_protocol(variant: str, redundancy: int) -> None:
-    """Reject an unknown variant and fewer than one relay per bucket (or gossip target)."""
-    if variant not in ("baseline", "ne", "gossip"):
-        raise ConfigurationError(f"variant must be baseline, ne, or gossip, got {variant!r}")
-    if redundancy < 1:
-        raise ConfigurationError(f"redundancy must be at least 1, got {redundancy}")
-
-
 class Engine:
     """The event loop for one simulation run.
 
@@ -327,7 +327,7 @@ class Engine:
     ``variant`` is the protocol: ``baseline`` (uniform subtree relays),
     ``ne`` (rank-weighted relays with neighbor evaluation) or
     ``gossip`` (push gossip over each node's routing table). ``beta`` is the
-    relays per bucket, or the gossip fanout.
+    relays per bucket, or the gossip fanout. ``RunSpec`` checks both.
 
     A transmission is committed (scheduled, counted, logged as
     ``send``) when it is queued, unless it would start at or after the
@@ -368,9 +368,6 @@ class Engine:
         collect_log: bool = False,
         count_per_hash: bool = False,
     ):
-        if len(nodes) != len(profiles):
-            raise ConfigurationError("every node needs exactly one net profile")
-        check_protocol(variant, beta)
         self.nodes = nodes
         self.profiles = profiles
         self.config = config

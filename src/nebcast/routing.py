@@ -16,20 +16,9 @@ from functools import lru_cache
 from random import Random
 from typing import Iterator, Sequence
 
-from .errors import ConfigurationError
-from .identity import check_id, check_width
-
-
-def check_capacity(capacity: int, name: str = "bucket capacity") -> None:
-    # group sizes 1, 2, 4, ... only tile the rank range when capacity is 2^n - 1
-    if not isinstance(capacity, int) or capacity < 1 or capacity & (capacity + 1):
-        raise ConfigurationError(f"{name} must be 2**n - 1 for n >= 1, got {capacity!r}")
-
-
 @lru_cache(maxsize=None)
 def rank_weights(capacity: int) -> tuple[int, ...]:
-    """Selection weight for every rank of a bucket, rank 0 first."""
-    check_capacity(capacity)
+    """Selection weight for every rank of a bucket of capacity 2^n - 1, rank 0 first."""
     groups = (capacity + 1).bit_length() - 1
     weights = []
     for rank in range(capacity):
@@ -57,7 +46,6 @@ class Bucket:
     __slots__ = ("capacity", "entries")
 
     def __init__(self, capacity: int):
-        check_capacity(capacity)
         self.capacity = capacity
         self.entries: list[PeerEntry] = []
 
@@ -78,8 +66,6 @@ class RoutingTable:
     __slots__ = ("owner", "width", "buckets", "_entries")
 
     def __init__(self, owner: int, width: int, capacity: int):
-        check_width(width)
-        check_id(owner, width)
         self.owner = owner
         self.width = width
         self.buckets = [Bucket(capacity) for _ in range(width)]
@@ -105,7 +91,7 @@ class RoutingTable:
         """File a peer, returning False for self, duplicates, or a full bucket."""
         if peer == self.owner or peer in self._entries:
             return False
-        # index inline: arguments were range-checked when the ids were made
+        # index inline: sample_ids drew every id within the table's width
         index = self.width - (self.owner ^ peer).bit_length()
         bucket = self.buckets[index]
         if len(bucket.entries) >= bucket.capacity:
@@ -154,8 +140,8 @@ def select_relays(bucket: Bucket, beta: int, rng: Random) -> list[PeerEntry]:
     Each draw spends one ``rng.random()`` call: the unit draw is scaled
     by the total weight still in play and matched against the running
     weight sum in rank order. When ``beta`` covers the whole bucket the
-    entries are returned as-is and the rng is left untouched. ``Engine``
-    rejects a ``beta`` below 1 before any draw.
+    entries are returned as-is and the rng is left untouched. ``RunSpec``
+    rejects a ``beta`` below 1 before any run.
     """
     entries = bucket.entries
     n = len(entries)

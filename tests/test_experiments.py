@@ -81,21 +81,24 @@ def test_build_config_requires_scenario():
 
 
 def test_config_validation_messages_name_the_field():
-    cases = {
-        "n_nodes": "1",
-        "address_bits": "0",
-        "bucket_capacity": "6",
-        "data_msg_bytes": "-1",
-        "confirm_msg_bytes": "-1",
-        "betas": "0,1",
-        "interval_ms": "0",
-        "repeats": "0",
-        "variants": "baseline,evil",
-        "disturbance": "meteor",
-    }
-    for field, bad in cases.items():
+    cases = [
+        ("n_nodes", {"n_nodes": "1"}),
+        ("address_bits", {"address_bits": "0"}),
+        ("address_bits", {"address_bits": "161"}),
+        # more nodes than the width has ids
+        ("n_nodes", {"n_nodes": "17", "address_bits": "4"}),
+        ("bucket_capacity", {"bucket_capacity": "6"}),
+        ("data_msg_bytes", {"data_msg_bytes": "-1"}),
+        ("confirm_msg_bytes", {"confirm_msg_bytes": "-1"}),
+        ("betas", {"betas": "0,1"}),
+        ("interval_ms", {"interval_ms": "0"}),
+        ("repeats", {"repeats": "0"}),
+        ("variants", {"variants": "baseline,evil"}),
+        ("disturbance", {"disturbance": "meteor"}),
+    ]
+    for field, overrides in cases:
         with pytest.raises(ConfigurationError) as err:
-            build_config(scenario="coverage_offline", overrides={field: bad})
+            build_config(scenario="coverage_offline", overrides=overrides)
         assert field in str(err.value)
 
 
@@ -152,12 +155,17 @@ def test_run_spec_rejects_an_empty_or_backward_schedule():
     bad = [
         ("interval_us", -50_000), ("interval_us", 0), ("rounds_per_node", 0),
         ("total_broadcasts", 0), ("total_broadcasts", -3), ("horizon_us", -5),
+        # the last of 16 launches would be past the engine's "never"
+        ("interval_us", 1 << 62),
     ]
     for key, value in bad:
         with pytest.raises(ConfigurationError) as err:
             RunSpec(**{**base, key: value})
         assert key in str(err.value)
     RunSpec(**{**base, "interval_us": 1, "total_broadcasts": 1, "horizon_us": 0})
+    RunSpec(**{**base, "interval_us": (1 << 62) - 1, "total_broadcasts": 2})
+    with pytest.raises(ConfigurationError, match="interval_us"):
+        RunSpec(**{**base, "interval_us": 1 << 61, "total_broadcasts": 3})
 
 
 def test_configs_check_the_network_sizes_when_built():
@@ -165,7 +173,10 @@ def test_configs_check_the_network_sizes_when_built():
     # NetworkConfig, so a bad size fails before execute_run starts
     base = dict(n_nodes=16, variant="ne", redundancy=2, rounds_per_node=1,
                 interval_us=50_000, seed=1)
-    bad = [("address_bits", 0), ("bucket_capacity", 6), ("data_msg_bytes", -1), ("n_nodes", 0)]
+    bad = [
+        ("address_bits", 0), ("address_bits", 161), ("bucket_capacity", 6),
+        ("data_msg_bytes", -1), ("n_nodes", 0),
+    ]
     for key, value in bad:
         with pytest.raises(ConfigurationError) as err:
             RunSpec(**{**base, key: value})
@@ -475,6 +486,28 @@ def test_cli_simulate_rejects_a_horizon_for_the_audit(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "configuration error: horizon_s" in captured.err
     assert "audit checks failed" not in captured.err and not (tmp_path / "cut").exists()
+
+
+def test_cli_simulate_rejects_a_launch_past_the_engine_clock(tmp_path, capsys):
+    # the second of four launches at 10^19 us lay past the engine's
+    # "never", so every cell kept only its first broadcast and the run
+    # reported a horizon it did not have
+    args = ["simulate", "--scenario", "latency", "--set", "network.n_nodes=4",
+            "--set", "broadcast.rounds_per_node=1"]
+    out = tmp_path / "late"
+    code = main([*args, "--set", "broadcast.interval_ms=10000000000000000", "--out", str(out)])
+    assert code == 2
+    assert "configuration error: interval_ms" in capsys.readouterr().err
+    assert not out.exists()
+    # the last of the four launches just before 2**62 us is accepted
+    limit_ms = ((1 << 62) - 1) // 3000
+    four = {"n_nodes": 4, "rounds_per_node": 1, "fanouts": "1"}
+    build_config(scenario="latency", overrides={**four, "interval_ms": limit_ms})
+    with pytest.raises(ConfigurationError, match="interval_ms"):
+        build_config(scenario="latency", overrides={**four, "interval_ms": limit_ms + 1})
+    # the gossip sweep's flooding cell launches flood_check_broadcasts (20) times
+    with pytest.raises(ConfigurationError, match="interval_ms"):
+        build_config(scenario="gossip_sweep", overrides={**four, "interval_ms": limit_ms})
 
 
 def test_cli_simulate_writes_files(tmp_path, capsys):

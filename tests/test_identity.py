@@ -1,4 +1,4 @@
-"""Identity-layer tests: bucket indexing, width and id checks, id sampling.
+"""Identity-layer tests: bucket indexing, the width check, id sampling.
 
 Bucket placement is checked on the code the engine runs,
 ``RoutingTable.insert_peer``, against an oracle that recomputes the
@@ -13,12 +13,8 @@ import random
 import pytest
 
 from nebcast.errors import ConfigurationError
-from nebcast.identity import (
-    MAX_ADDRESS_BITS,
-    check_id,
-    check_width,
-    sample_ids,
-)
+from nebcast.identity import MAX_ADDRESS_BITS, sample_ids
+from nebcast.netsim import NetworkConfig
 from nebcast.routing import RoutingTable
 
 
@@ -96,19 +92,11 @@ def test_bucket_index_rejects_self():
 
 
 def test_width_validation():
-    check_width(1)
-    check_width(MAX_ADDRESS_BITS)
+    NetworkConfig(1, address_bits=1)
+    NetworkConfig(1, address_bits=MAX_ADDRESS_BITS)
     for bad in (0, -1, MAX_ADDRESS_BITS + 1):
         with pytest.raises(ConfigurationError):
-            check_width(bad)
-
-
-def test_id_range_validation():
-    check_id(0, 4)
-    check_id(15, 4)
-    for bad in (-1, 16):
-        with pytest.raises(ConfigurationError):
-            check_id(bad, 4)
+            NetworkConfig(1, address_bits=bad)
 
 
 def test_sample_ids_unique_and_in_range():

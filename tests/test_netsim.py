@@ -235,16 +235,6 @@ def test_copy_to_offline_node_settles_only_before_the_disturbance(disturb_at, re
     assert engine.tracker.receipts == [(0, 0, 0)] + [(0, 1, 12_000)] * received
 
 
-def test_engine_rejects_unknown_variant_and_bad_beta():
-    nodes, profiles, config = _network(4, seed=1)
-    for variant in ("baseline", "ne", "gossip"):
-        Engine(nodes, profiles, config, Random(1), variant=variant, beta=1)
-        with pytest.raises(ConfigurationError):
-            Engine(nodes, profiles, config, Random(1), variant=variant, beta=0)
-    with pytest.raises(ConfigurationError):
-        Engine(nodes, profiles, config, Random(1), variant="flood")
-
-
 def test_disturbance_needs_a_disturb_rng():
     # the disturbance would otherwise fail mid-run, when it fires
     nodes, profiles, config = _network(4, seed=1)

@@ -106,7 +106,7 @@ def broadcast_count(spec: RunSpec) -> int:
 
 def execute_run(spec: RunSpec) -> RunResult:
     """Build the network, schedule the run, drain it, and collect its records."""
-    # The overlay (about 240 k entries at N=2000) and the run allocate far
+    # The overlay (about 240 k filed ids at N=2000) and the run allocate far
     # past the collector's thresholds and form no reference cycles, so its
     # passes would scan live objects and free nothing. One pause covers
     # the bootstrap through the end of the run; the caller's collector

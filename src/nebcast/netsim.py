@@ -218,13 +218,16 @@ def fill_table(table: RoutingTable, sorted_ids: list[int], rng: Random) -> None:
 
     Bucket i draws min(capacity, ids in its range) ids with one
     ``rng.sample`` over its slice of ``sorted_ids`` and files them in
-    draw order, at score 0, with one ``RoutingTable.file_peers`` call,
-    at O(width * log N + entries) per table. Distinct ids of the
-    bucket's own range need none of ``insert_peer``'s checks. A bucket
-    whose range is empty is skipped, which draws nothing, as a sample
-    of none would. Offering every other id in a uniform shuffle and
-    keeping what fits has the same law: a bucket keeps the first ids of
-    its range in shuffle order, a uniform ordered subset of that range.
+    draw order, at score 0, with one ``RoutingTable.file_peers`` call.
+    Each slice copies its bucket's whole range, and a table's ranges
+    hold every other id, so a table costs O(width * log N) steps plus
+    about N pointer copies: cheap, but quadratic over the overlay.
+    Distinct ids of the bucket's own range need none of
+    ``insert_peer``'s checks. A bucket whose range is empty is skipped,
+    which draws nothing, as a sample of none would. Offering every other
+    id in a uniform shuffle and keeping what fits has the same law: a
+    bucket keeps the first ids of its range in shuffle order, a uniform
+    ordered subset of that range.
 
     The table must be empty, as a new one is and a fallen node's is once
     cleared; anything else raises ``ConfigurationError``.
@@ -253,7 +256,7 @@ def fully_reachable(nodes: list[NodeState], width: int) -> bool:
     sorted_ids = sorted(node.id for node in nodes)
     for node in nodes:
         for i, bucket in enumerate(node.table.buckets):
-            if bucket.entries:
+            if bucket.peers:
                 continue
             a, b = _bucket_slice(sorted_ids, node.id, i, width)
             if b > a:

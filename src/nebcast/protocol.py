@@ -106,15 +106,13 @@ def initiate_broadcast(
     probes: set[int] = set()
     pick = select_relays if ne_enabled else select_uniform
     for bucket in node.table.buckets:
-        if not bucket.entries:
+        if not bucket.peers:
             continue
         relays = pick(bucket, beta, rng)
-        for entry in relays:
-            m = Message(msg_hash, payload_size, node.id, entry.peer, node.id)
-            sends.append((entry.peer, m))
+        for peer in relays:
+            sends.append((peer, Message(msg_hash, payload_size, node.id, peer, node.id)))
         if ne_enabled:
-            for entry in probe_set(bucket, relays):
-                probes.add(entry.peer)
+            probes.update(probe_set(bucket, relays))
     if probes:
         node.tickets[msg_hash] = probes
     return sends
@@ -159,12 +157,12 @@ def handle_message(
     pick = select_relays if ne_enabled else select_uniform
     for i in range(height, table.width):
         bucket = buckets[i]
-        if not bucket.entries:
+        if not bucket.peers:
             continue
         if forwarded is None:
             forwarded = Message(h, m.size, m.source, m.relay, node.id)
-        for entry in pick(bucket, beta, rng):
-            sends.append((entry.peer, forwarded))
+        for peer in pick(bucket, beta, rng):
+            sends.append((peer, forwarded))
     return sends
 
 

@@ -151,13 +151,13 @@ def test_02_relay_selection_matches_rank_weights(capsys):
     first = [0] * 7
     for _ in range(trials):
         picked = select_relays(bucket, 1, rng)
-        first[rank[picked[0].peer]] += 1
+        first[rank[picked[0]]] += 1
     first_err = max(abs(first[r] / trials - weights[r] / total) for r in range(7))
 
     pairs: dict[tuple[int, int], int] = {}
     for _ in range(trials):
         picked = select_relays(bucket, 2, rng)
-        key = (rank[picked[0].peer], rank[picked[1].peer])
+        key = (rank[picked[0]], rank[picked[1]])
         pairs[key] = pairs.get(key, 0) + 1
     pair_err = 0.0
     for i in range(7):

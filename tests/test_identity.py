@@ -35,7 +35,7 @@ def _bucket_of(owner: int, peer: int, width: int) -> int | None:
     table = RoutingTable(owner, width, 1)
     if not table.insert_peer(peer):
         return None
-    (index,) = [i for i, bucket in enumerate(table.buckets) if bucket.entries]
+    (index,) = [i for i, bucket in enumerate(table.buckets) if bucket.peers]
     return index
 
 

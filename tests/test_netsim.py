@@ -281,7 +281,7 @@ def _assert_filled(table: RoutingTable, all_ids: list[int], capacity: int) -> No
     )
     members = set(all_ids)
     for i, bucket in enumerate(table.buckets):
-        peers = [entry.peer for entry in bucket.entries]
+        peers = bucket.peers
         assert len(peers) == min(capacity, population[i])
         assert len(set(peers)) == len(peers)
         assert table.owner not in peers
@@ -340,8 +340,7 @@ def test_fill_table_files_what_the_per_peer_fill_files(n, bits, capacity):
         assert fast_rng.getstate() == slow_rng.getstate()
         for fb, sb in zip(fast.buckets, slow.buckets):
             assert [(e.peer, e.score) for e in fb.entries] == [(e.peer, e.score) for e in sb.entries]
-        filed = [e for b in fast.buckets for e in b.entries]
-        assert len(fast) == len(filed) and all(fast.entry_for(e.peer) is e for e in filed)
+        assert list(fast) == [peer for b in fast.buckets for peer in b.peers]
 
 
 def test_fill_table_rejects_a_table_that_is_not_empty():
@@ -386,9 +385,9 @@ def test_fill_has_the_law_of_offering_everyone():
             table = RoutingTable(owner, width, capacity)
             fill(table, Random(seed))
             for bucket in table.buckets:
-                kept.update(entry.peer for entry in bucket.entries)
-                if bucket.entries:
-                    first[bucket.entries[0].peer] += 1
+                kept.update(bucket.peers)
+                if bucket.peers:
+                    first[bucket.peers[0]] += 1
         return kept, first
 
     sampled = frequencies(lambda table, rng: fill_table(table, sorted_ids, rng))
@@ -417,7 +416,7 @@ def test_bootstrap_is_deterministic():
     for a, b in zip(first_nodes, second_nodes):
         assert a.table.scores() == b.table.scores()
         for ba, bb in zip(a.table.buckets, b.table.buckets):
-            assert [e.peer for e in ba.entries] == [e.peer for e in bb.entries]
+            assert ba.peers == bb.peers
     assert [(p.region, p.upstream_bps) for p in first_profiles] == [
         (p.region, p.upstream_bps) for p in second_profiles
     ]
@@ -497,7 +496,7 @@ def test_churn_offline_fraction_near_half():
 
 
 def _bucket_peers(node: NodeState) -> list[list[int]]:
-    return [[entry.peer for entry in bucket.entries] for bucket in node.table.buckets]
+    return [list(bucket.peers) for bucket in node.table.buckets]
 
 
 def test_churn_clears_casualties_and_rebootstraps_returners():
@@ -588,7 +587,7 @@ def _scheduled_engine(
         assign_refusers(nodes, stream(seed, "refuse", 0))
     if gaps:
         for node in nodes:
-            kept = [entry.peer for bucket in node.table.buckets for entry in bucket.entries[:-1]]
+            kept = [peer for bucket in node.table.buckets for peer in bucket.peers[:-1]]
             node.table.clear()
             for peer in kept:
                 node.table.insert_peer(peer)
